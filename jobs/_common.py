@@ -2,9 +2,23 @@
 
 Jobs run standalone (not under pytest), so they create their own local
 session with the same settings as conftest.py's fixture.
+
+The ``repro`` package is used from the checkout, not installed: importing
+this module puts the checkout's ``src`` on the driver's ``sys.path`` and, via
+``PYTHONPATH`` before the JVM starts, on the path of the Python workers it
+launches (``connectivity(..., spark_uf=True)`` imports ``repro`` inside
+``mapInPandas`` tasks).
 """
 import os
 import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
+_paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+if SRC not in _paths:
+    os.environ["PYTHONPATH"] = os.pathsep.join([SRC, *_paths])
 
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",

@@ -29,14 +29,9 @@ def _buckets(w: np.ndarray, eps: float) -> np.ndarray:
     return np.floor(np.log(w / wmin) / np.log1p(eps)).astype(np.int64)
 
 
-def _forest_pass(st: UFState, union, u: np.ndarray, v: np.ndarray) -> list[tuple[int, int, int]]:
+def _forest_pass(union, u: np.ndarray, v: np.ndarray) -> list[int]:
     """Apply one bucket's edges; returns indices of edges that hooked."""
-    hooked = []
-    for i in range(len(u)):
-        r = union(int(u[i]), int(v[i]))
-        if r >= 0:
-            hooked.append(i)
-    return hooked
+    return [i for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())) if union(a, b) >= 0]
 
 
 def amsf(
@@ -67,7 +62,7 @@ def amsf(
         for i in range(nb):
             lo, hi = bounds[i], bounds[i + 1]
             edges_scanned += hi - lo
-            for j in _forest_pass(st, union, u[lo:hi], v[lo:hi]):
+            for j in _forest_pass(union, u[lo:hi], v[lo:hi]):
                 out_u.append(u[lo + j]); out_v.append(v[lo + j]); out_w.append(w[lo + j])
     else:
         remaining = np.ones(len(u), dtype=bool)
@@ -90,7 +85,7 @@ def amsf(
                 outside = ~((p[u] == lmax) & (p[v] == lmax))
                 edges_scanned += int(outside.sum())
                 sel = np.flatnonzero(outside & (b == i))
-            for j in _forest_pass(st, union, u[sel], v[sel]):
+            for j in _forest_pass(union, u[sel], v[sel]):
                 out_u.append(u[sel[j]]); out_v.append(v[sel[j]]); out_w.append(w[sel[j]])
 
     forest = pd.DataFrame({"u": out_u, "v": out_v, "w": out_w})

@@ -83,12 +83,12 @@ def gs_query_sequential(
         adj.setdefault(b, []).append(a)
     roots = np.arange(n, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
-    for s in np.flatnonzero(core):
+    for s in np.flatnonzero(core).tolist():
         if seen[s]:
             continue
-        comp = [int(s)]
+        comp = [s]
         seen[s] = True
-        q = deque([int(s)])
+        q = deque([s])
         while q:
             x = q.popleft()
             for y in adj.get(x, ()):

@@ -25,8 +25,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core import minbased, sampling as sampling_mod
-from repro.core.uf_finish import uf_components_driver, uf_components_spark
+from repro.core import minbased, sampling as sampling_mod, uf_finish
 from repro.graphs.generators import Graph
 from repro.graphs.ground_truth import canonicalize
 from repro.unionfind import UFSpec
@@ -139,15 +138,17 @@ def finish_with_sample(
         if spec.variant != finish:
             raise ValueError(f"uf_spec variant {spec.variant} does not match finish {finish}")
         skip = frequent if sampling != "none" else None
+        # Both finishes are looked up on uf_finish, the one module a tracing
+        # wrapper (perfbench/spans.py) patches for the whole finish layer.
         if spark_uf:
-            labels, st = uf_components_spark(
+            labels, st = uf_finish.uf_components_spark(
                 spark, g.df(spark), g.n, spec,
                 init_labels=sample.labels, skip_label=skip, num_partitions=num_partitions,
             )
         else:
             edges = np.stack([g.src, g.dst], axis=1)
-            labels, st = uf_components_driver(
-                g.n, edges, spec, init_labels=sample.labels, skip_label=skip
+            labels, st = uf_finish.run_components(
+                g.n, edges, spec, labels=sample.labels, skip_label=skip
             )
         init = sample.labels
         info["finish_edges"] = int((init[g.src] != frequent).sum()) if sampling != "none" else g.m_directed

@@ -20,8 +20,8 @@ import time
 import numpy as np
 from pyspark.sql import SparkSession
 
+from repro.core import uf_finish
 from repro.core.framework import UF_FINISHES, _default_spec, identify_frequent, run_sampling
-from repro.core.uf_finish import uf_components_driver, uf_components_spark
 from repro.graphs.generators import Graph
 from repro.graphs.ground_truth import canonicalize
 from repro.unionfind import UFSpec
@@ -87,14 +87,14 @@ def spanning_forest(
     if finish in UF_FINISHES:
         spec = uf_spec or _default_spec(finish)
         if spark_uf:
-            labels, st = uf_components_spark(
+            labels, st = uf_finish.uf_components_spark(
                 spark, g.df(spark), g.n, spec,
                 init_labels=sample.labels, skip_label=skip,
                 record_forest=True, num_partitions=num_partitions,
             )
         else:
-            labels, st = uf_components_driver(
-                g.n, edges, spec, init_labels=sample.labels, skip_label=skip, record_forest=True
+            labels, st = uf_finish.run_components(
+                g.n, edges, spec, labels=sample.labels, skip_label=skip, record_forest=True
             )
         finish_forest = list(st.forest.values())
     elif finish == "sv":

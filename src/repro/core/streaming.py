@@ -12,15 +12,13 @@ Three algorithm types, as in the paper:
   rounds over the batch's edges against the parents array.
 - Type 3 — Rem's algorithms with SpliceAtomic: phase-concurrent; the batch is
   split into an update phase followed by a query phase.
-
-``process_batch`` optionally partitions large batches across Spark tasks
-using the same local-UF + driver-merge scheme as the static finish.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.unionfind import UFSpec, UFState, make_union
+from repro.unionfind.core import READS, UNIONS, WRITES, as_edges
 from repro.unionfind.finds import make_find
 
 
@@ -29,7 +27,8 @@ class StreamingConnectIt:
 
     ``algorithm`` is a :class:`UFSpec` (Type 1/3) or one of ``"sv"`` /
     ``"lt-root"`` (Type 2; ``lt-root`` is the CRFA-style root-up variant the
-    paper finds fastest in streaming).
+    paper finds fastest in streaming). Vertex ids are validated against
+    ``[0, n)`` on every call; a bad id raises ``ValueError``.
     """
 
     def __init__(self, n: int, algorithm: UFSpec | str = UFSpec("uf-rem-cas", "naive", "split-one")):
@@ -41,25 +40,19 @@ class StreamingConnectIt:
             ) else 1
             self.state = UFState(n)
             self._union = make_union(algorithm, self.state)
-            self._find = make_find("naive", self.state)
         elif algorithm in ("sv", "lt-root"):
             self.type = 2
             self.state = UFState(n)
         else:
             raise KeyError(f"unknown streaming algorithm {algorithm!r}")
+        self._find = make_find("naive", self.state)
 
     # -- operations --------------------------------------------------------
     def insert(self, u: int, v: int) -> None:
-        if self.type == 2:
-            self._batch_rounds(np.array([[u, v]], dtype=np.int64))
-        else:
-            self._union(int(u), int(v))
+        self.process_batch([[u, v]])
 
     def is_connected(self, u: int, v: int) -> bool:
-        if self.type == 2:
-            p = self.state.parent
-            return bool(_root(p, int(u)) == _root(p, int(v)))
-        return self._find(int(u)) == self._find(int(v))
+        return bool(self.process_batch([], [[u, v]])[0])
 
     def process_batch(
         self, updates: np.ndarray, queries: np.ndarray | None = None
@@ -68,24 +61,23 @@ class StreamingConnectIt:
 
         Type 1 interleaves updates and queries (any serialization is a valid
         linearization w.r.t. the batch start, per B.4's correctness notion);
-        Types 2 and 3 apply all updates first, then answer queries.
+        Types 2 and 3 apply all updates first, then answer queries. Every
+        type answers queries with the kernel's naive find.
         """
-        updates = np.asarray(updates, dtype=np.int64).reshape(-1, 2)
+        updates = as_edges(updates, self.n)
+        queries = as_edges([] if queries is None else queries, self.n)
         if self.type == 2:
             self._batch_rounds(updates)
         else:
             union = self._union
             for u, v in updates.tolist():
                 union(u, v)
-        if queries is None or len(queries) == 0:
-            return np.zeros(0, dtype=bool)
-        queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
-        return np.fromiter(
-            (self.is_connected(int(a), int(b)) for a, b in queries), dtype=bool, count=len(queries)
-        )
+        self.state.c.a[UNIONS] += len(updates)
+        find = self._find
+        return np.array([find(a) == find(b) for a, b in queries.tolist()], dtype=bool)
 
     def labels(self) -> np.ndarray:
-        return self.state.compress_all().copy()
+        return self.state.compress_all()
 
     # -- Type 2: synchronous rounds over the batch -------------------------
     def _batch_rounds(self, edges: np.ndarray) -> None:
@@ -93,29 +85,33 @@ class StreamingConnectIt:
 
         Python-loop substrate on purpose: all streaming variants share one
         substrate so relative throughput mirrors algorithmic work (see
-        DESIGN.md measurement note).
+        DESIGN.md measurement note). The rounds run on a numpy copy of the
+        parents list, converted once per batch and written back in place.
         """
-        p = self.state.parent
-        c = self.state.c.a
+        if not len(edges):
+            return
+        p = np.array(self.state.parent, dtype=np.int64)
         sv = self.algorithm == "sv"
         pairs = edges.tolist()
+        writes = 0
+        rounds = 0
         while True:
+            rounds += 1
             prev = p.copy()
             for u, v in pairs:
                 pu, pv = int(p[u]), int(p[v])
-                c[0] += 2
                 l, h = (pu, pv) if pu < pv else (pv, pu)
                 if l != h:
                     if sv:
                         # hook round-start roots only, via writeMin
                         if prev[h] == h and l < p[h]:
                             p[h] = l
-                            c[1] += 1
+                            writes += 1
                     else:
                         # root-up connect: update h if it is currently a root
                         if p[h] == h and l < p[h]:
                             p[h] = l
-                            c[1] += 1
+                            writes += 1
             # full shortcut (pointer jumping)
             while True:
                 pp = p[p]
@@ -123,10 +119,8 @@ class StreamingConnectIt:
                     break
                 p[:] = pp
             if np.array_equal(p, prev):
-                return
-
-
-def _root(p: np.ndarray, u: int) -> int:
-    while p[u] != u:
-        u = int(p[u])
-    return u
+                break
+        c = self.state.c.a
+        c[READS] += 2 * len(pairs) * rounds
+        c[WRITES] += writes
+        self.state.parent[:] = p.tolist()

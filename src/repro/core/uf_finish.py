@@ -11,9 +11,8 @@ The dataflow realization of the paper's concurrent union-find finish phase
    per-partition hook edges, which merges components across partitions.
 
 This is exactly the two-level structure of a work-stealing shared-memory
-union-find: local linking plus cross-boundary merge. A pure-driver path
-(``uf_components_driver``) is used for small inputs, sampling contraction,
-and the driver-resident streaming state.
+union-find: local linking plus cross-boundary merge. The driver-only finish
+calls ``run_components`` directly, through this module's name for it.
 """
 from __future__ import annotations
 
@@ -23,22 +22,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.unionfind import UFSpec, run_components
-from repro.unionfind.core import UFState
-
-
-def uf_components_driver(
-    n: int,
-    edges: np.ndarray,
-    spec: UFSpec,
-    init_labels: np.ndarray | None = None,
-    skip_label: int | None = None,
-    record_forest: bool = False,
-) -> tuple[np.ndarray, UFState]:
-    """Run a union-find variant entirely on the driver (shared-memory analog)."""
-    return run_components(
-        n, edges, spec, labels=init_labels, skip_label=skip_label, record_forest=record_forest
-    )
+from repro.unionfind import UFSpec, UFState, run_components
 
 
 def uf_components_spark(

@@ -44,6 +44,9 @@ class Graph:
     src: np.ndarray  # directed pairs; both (u,v) and (v,u) present
     dst: np.ndarray
     meta: dict = field(default_factory=dict)
+    # (session, DataFrame) of the last df() call; the edge arrays are never
+    # mutated after construction, so the DataFrame stays valid
+    _df: tuple[SparkSession, DataFrame] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -54,9 +57,13 @@ class Graph:
         return len(self.src)
 
     def df(self, spark: SparkSession) -> DataFrame:
-        """Edge DataFrame (src, dst), both directions present."""
-        pdf = pd.DataFrame({"src": self.src, "dst": self.dst})
-        return spark.createDataFrame(pdf)
+        """Edge DataFrame (src, dst), both directions present.
+
+        Built once per SparkSession and reused; another session rebuilds it.
+        """
+        if self._df is None or self._df[0] is not spark:
+            self._df = (spark, spark.createDataFrame(self.pandas()))
+        return self._df[1]
 
     def pandas(self) -> pd.DataFrame:
         return pd.DataFrame({"src": self.src, "dst": self.dst})

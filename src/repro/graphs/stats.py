@@ -52,6 +52,7 @@ def graph_stats(g: Graph, spark: SparkSession | None = None) -> dict:
     }
     if spark is not None:
         t0 = time.perf_counter()
-        g.df(spark).count()
+        # a fresh DataFrame, not the one Graph.df memoizes per session
+        spark.createDataFrame(g.pandas()).count()
         row["load_time_s"] = round(time.perf_counter() - t0, 4)
     return row

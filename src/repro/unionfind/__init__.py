@@ -2,11 +2,15 @@
 
 The paper's algorithms are written against a shared parents array with atomic
 compare-and-swap. This package reproduces them as deterministic executions of
-the *same code paths* over a numpy parents array, with a CAS primitive and
-full instrumentation (parent reads/writes, CAS attempts, total/max path
-length). Scheduling nondeterminism is exercised in tests by permuting the
-operation order — the observable effect of interleavings for these
-linearizably-monotone algorithms.
+the *same code paths* over a parents array kept as a plain Python list for the
+life of a :class:`UFState`, with a modelled CAS and exact instrumentation
+(parent reads/writes, CAS attempts/failures, total/max path length). Each
+find, splice and union adds up its counts in local variables and adds them to
+the counters once, when it returns; numpy arrays appear only at the edges
+(``run_components`` input, ``UFState.compress_all`` output). Vertex ids are
+validated once per batch at that boundary (``as_edges``). Scheduling
+nondeterminism is exercised in tests by permuting the operation order — the
+observable effect of interleavings for these linearizably-monotone algorithms.
 """
 from repro.unionfind.core import UFSpec, UFState, Counters, run_components  # noqa: F401
 from repro.unionfind.variants import make_union, VARIANTS, FINDS, SPLICES  # noqa: F401

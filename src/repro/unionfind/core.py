@@ -1,11 +1,11 @@
-"""Parents-array state, CAS primitive, and instrumentation counters."""
+"""Parents-array state, instrumentation counters, and the edge-array boundary."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-# counter slots (numpy int64 array indices — cheap to bump in hot loops)
+# counter slots: indices into the plain-list ``Counters.a``
 READS, WRITES, CAS_TRY, CAS_FAIL, FINDS, UNIONS, HOOKS, TPL, MPL = range(9)
 N_COUNTERS = 9
 
@@ -32,10 +32,10 @@ class Counters:
     __slots__ = ("a",)
 
     def __init__(self) -> None:
-        self.a = np.zeros(N_COUNTERS, dtype=np.int64)
+        self.a = [0] * N_COUNTERS
 
     def as_dict(self) -> dict[str, int]:
-        return {name: int(v) for name, v in zip(_COUNTER_NAMES, self.a)}
+        return dict(zip(_COUNTER_NAMES, self.a))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counters({self.as_dict()})"
@@ -70,69 +70,73 @@ class UFSpec:
 
 
 class UFState:
-    """Shared-memory state: parents array + hooks/priorities as needed."""
+    """Shared-memory state: parents list + hooks/priorities as needed.
+
+    ``parent`` (and ``hooks``/``prio``) are plain Python lists that live as
+    long as the state: the kernel's closures hold references to them, so they
+    are only ever updated in place. Numpy arrays appear only at the edges
+    (``compress_all``).
+    """
 
     __slots__ = ("parent", "hooks", "prio", "c", "forest")
 
     def __init__(self, n: int, labels: np.ndarray | None = None, seed: int = 0):
         if labels is None:
-            self.parent = np.arange(n, dtype=np.int64)
+            self.parent = list(range(n))
         else:
-            self.parent = np.asarray(labels, dtype=np.int64).copy()
-        self.hooks: np.ndarray | None = None  # UF-Hooks
-        self.prio: np.ndarray | None = None  # UF-JTB random priorities
+            self.parent = np.asarray(labels, dtype=np.int64).tolist()
+        self.hooks: list[int] | None = None  # UF-Hooks
+        self.prio: list[int] | None = None  # UF-JTB random priorities
         self.c = Counters()
         # spanning forest: forest[r] = index of the edge that hooked root r
         self.forest: dict[int, tuple[int, int]] = {}
 
-    def ensure_hooks(self) -> np.ndarray:
+    def ensure_hooks(self) -> list[int]:
         if self.hooks is None:
-            self.hooks = np.full(len(self.parent), -1, dtype=np.int64)
+            self.hooks = [-1] * len(self.parent)
         return self.hooks
 
-    def ensure_prio(self, seed: int = 0) -> np.ndarray:
+    def ensure_prio(self, seed: int = 0) -> list[int]:
         if self.prio is None:
             g = np.random.default_rng(seed)
-            self.prio = g.permutation(len(self.parent)).astype(np.int64)
+            self.prio = g.permutation(len(self.parent)).tolist()
         return self.prio
-
-    # -- atomic primitives (sequentially simulated, fully counted) ---------
-    def read(self, i: int) -> int:
-        self.c.a[READS] += 1
-        return int(self.parent[i])
-
-    def write(self, i: int, v: int) -> None:
-        self.c.a[WRITES] += 1
-        self.parent[i] = v
-
-    def cas(self, i: int, old: int, new: int) -> bool:
-        self.c.a[CAS_TRY] += 1
-        if self.parent[i] == old:
-            self.parent[i] = new
-            self.c.a[WRITES] += 1
-            return True
-        self.c.a[CAS_FAIL] += 1
-        return False
-
-    def finish_path(self, steps: int) -> None:
-        self.c.a[TPL] += steps
-        if steps > self.c.a[MPL]:
-            self.c.a[MPL] = steps
 
     def compress_all(self) -> np.ndarray:
         """Vectorized full path compression (used after sampling / at exit).
 
-        In place: union/find closures hold a reference to the parents array,
-        so it must never be rebound mid-run.
+        Returns the compressed labeling as a new numpy array and writes it
+        back into the parents list in place.
         """
-        p = self.parent
+        p = np.array(self.parent, dtype=np.int64)
         while True:
             pp = p[p]
             if np.array_equal(pp, p):
                 break
             p = pp
-        self.parent[:] = p
-        return self.parent
+        self.parent[:] = p.tolist()
+        return p
+
+
+def as_edges(edges, n: int) -> np.ndarray:
+    """Validate a batch of vertex-id pairs once, vectorized, at the API boundary.
+
+    Returns a ``(k, 2)`` int64 array. Raises ``ValueError`` on a non-integer
+    dtype or an id outside ``[0, n)``; a list index would otherwise wrap a
+    negative id into a silently wrong partition. Empty input of any dtype is
+    the empty batch.
+    """
+    a = np.asarray(edges)
+    if a.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got dtype {a.dtype}")
+    if a.ndim == 0 or a.shape[-1] != 2:
+        raise ValueError(f"expected (u, v) pairs, got shape {a.shape}")
+    lo, hi = a.min(), a.max()
+    if lo < 0 or hi >= n:
+        raise ValueError(f"vertex id {lo if lo < 0 else hi} outside [0, {n})")
+    return a.reshape(-1, 2).astype(np.int64, copy=False)
 
 
 def run_components(
@@ -144,7 +148,7 @@ def run_components(
     record_forest: bool = False,
     seed: int = 0,
 ) -> tuple[np.ndarray, UFState]:
-    """Run a union-find variant over an edge array ((k,2) int64).
+    """Run a union-find variant over an edge array ((k,2) integer ids in [0, n)).
 
     ``labels`` seeds the parents array (e.g. from a sampling phase);
     ``skip_label`` skips edges whose *source's initial label* equals the
@@ -153,16 +157,14 @@ def run_components(
     """
     from repro.unionfind.variants import make_union
 
+    edges = as_edges(edges, n)
     st = UFState(n, labels, seed=seed)
     union = make_union(spec, st, record_forest=record_forest)
-    if len(edges):
-        edges = np.asarray(edges, dtype=np.int64)
-        if skip_label is not None and labels is not None:
-            init = np.asarray(labels, dtype=np.int64)
-            edges = edges[init[edges[:, 0]] != skip_label]
-        c = st.c.a
-        # tolist() once: iterating numpy rows costs ~5x more per edge
-        for u, v in edges.tolist():
-            c[UNIONS] += 1
-            union(u, v)
+    if skip_label is not None and labels is not None:
+        init = np.asarray(labels, dtype=np.int64)
+        edges = edges[init[edges[:, 0]] != skip_label]
+    # tolist() once: iterating numpy rows costs ~5x more per edge
+    for u, v in edges.tolist():
+        union(u, v)
+    st.c.a[UNIONS] += len(edges)
     return st.compress_all(), st

@@ -1,8 +1,10 @@
 """Find implementations (paper Algorithm 8 + UF-JTB's two-try split).
 
-Each factory returns ``find(u) -> root`` as a closure over the state, so the
-hot loop pays only local-variable lookups. All parent reads/writes and path
-steps are counted (TPL/MPL instrumentation, §4.1.1).
+Each factory returns ``find(u) -> root`` as a closure over the state's
+parents list, so the hot loop pays only local-variable lookups. A find adds
+up its parent reads/writes, CAS attempts and path length in local variables
+and adds them to the counters once, when it returns (TPL/MPL
+instrumentation, §4.1.1).
 """
 from __future__ import annotations
 
@@ -10,85 +12,84 @@ from repro.unionfind.core import CAS_FAIL, CAS_TRY, FINDS, MPL, READS, TPL, WRIT
 
 
 def make_find(name: str, st: UFState):
-    c = st.c.a
+    P, c = st.parent, st.c.a
 
-    def _account(steps: int) -> None:
+    def find_naive(u: int) -> int:
+        steps = 0
+        p = P[u]
+        while p != u:
+            u = p
+            p = P[u]
+            steps += 1
+        c[READS] += steps + 1
         c[FINDS] += 1
         c[TPL] += steps
         if steps > c[MPL]:
             c[MPL] = steps
-
-    def find_naive(u: int) -> int:
-        P = st.parent
-        steps = 0
-        c[READS] += 1
-        while P[u] != u:
-            u = int(P[u])
-            c[READS] += 1
-            steps += 1
-        _account(steps)
         return u
 
     def find_compress(u: int) -> int:
-        P = st.parent
         r = u
         steps = 0
-        c[READS] += 1
-        while P[r] != r:
-            r = int(P[r])
-            c[READS] += 1
+        p = P[r]
+        while p != r:
+            r = p
+            p = P[r]
             steps += 1
+        writes = 0
         while True:
-            c[READS] += 1
-            j = int(P[u])
+            j = P[u]
             if j <= r:
                 break
             P[u] = r
-            c[WRITES] += 1
+            writes += 1
             u = j
-        _account(steps)
+        c[READS] += steps + writes + 2
+        c[WRITES] += writes
+        c[FINDS] += 1
+        c[TPL] += steps
+        if steps > c[MPL]:
+            c[MPL] = steps
         return r
 
-    def _split_or_halve(u: int, halve: bool) -> int:
-        P = st.parent
-        steps = 0
-        c[READS] += 2
-        v = int(P[u])
-        w = int(P[v])
-        while v != w:
-            # CAS(&P[u], v, w) — sequentially always succeeds
-            c[CAS_TRY] += 1
-            if P[u] == v:
-                P[u] = w
-                c[WRITES] += 1
-            else:
-                c[CAS_FAIL] += 1
-            u = int(P[u]) if halve else v
-            c[READS] += 2 + (1 if halve else 0)
-            v = int(P[u])
-            w = int(P[v])
-            steps += 1
-        _account(steps)
-        return v
+    def make_split_or_halve(halve: bool):
+        reads_per_step = 3 if halve else 2
 
-    def find_split(u: int) -> int:
-        return _split_or_halve(u, halve=False)
+        def find(u: int) -> int:
+            steps = writes = 0
+            v = P[u]
+            w = P[v]
+            while v != w:
+                # CAS(&P[u], v, w) — sequentially always succeeds
+                if P[u] == v:
+                    P[u] = w
+                    writes += 1
+                u = P[u] if halve else v
+                v = P[u]
+                w = P[v]
+                steps += 1
+            c[READS] += 2 + reads_per_step * steps
+            c[WRITES] += writes
+            c[CAS_TRY] += steps
+            c[CAS_FAIL] += steps - writes
+            c[FINDS] += 1
+            c[TPL] += steps
+            if steps > c[MPL]:
+                c[MPL] = steps
+            return v
 
-    def find_halve(u: int) -> int:
-        return _split_or_halve(u, halve=True)
+        return find
 
-    def find_two_try(u: int) -> int:
-        # UF-JTB FindTwoTrySplit: path splitting where each pointer update
-        # is attempted at most twice. Sequentially the first CAS succeeds,
-        # so this degenerates to path splitting — the provable-work variant.
-        return _split_or_halve(u, halve=False)
-
+    find_split = make_split_or_halve(halve=False)
     table = {
         "naive": find_naive,
         "compress": find_compress,
         "split": find_split,
-        "halve": find_halve,
-        "two-try": find_two_try,
+        "halve": make_split_or_halve(halve=True),
+        # UF-JTB FindTwoTrySplit: path splitting where each pointer update is
+        # attempted at most twice. Sequentially the first CAS succeeds, so it
+        # is path splitting — the provable-work variant.
+        "two-try": find_split,
     }
     if name not in table:
         raise KeyError(f"unknown find option {name!r}; options: {sorted(table)}")

@@ -6,41 +6,38 @@ from repro.unionfind.core import CAS_FAIL, CAS_TRY, READS, WRITES, UFState
 
 def make_splice(name: str, st: UFState):
     """Return ``splice(u, other) -> new_u`` used when the union loop sits at
-    a non-root vertex (paper §3.3.1, Concurrent Rem's Algorithms)."""
-    c = st.c.a
+    a non-root vertex (paper §3.3.1, Concurrent Rem's Algorithms). A splice
+    reads two parents and makes at most one CAS."""
+    P, c = st.parent, st.c.a
 
-    def _cas(i: int, old: int, new: int) -> bool:
+    def _cas(i: int, old: int, new: int) -> None:
         c[CAS_TRY] += 1
-        if st.parent[i] == old:
-            st.parent[i] = new
+        if P[i] == old:
+            P[i] = new
             c[WRITES] += 1
-            return True
-        c[CAS_FAIL] += 1
-        return False
+        else:
+            c[CAS_FAIL] += 1
 
     def split_one(u: int, other: int) -> int:
-        P = st.parent
         c[READS] += 2
-        v = int(P[u])
-        w = int(P[v])
+        v = P[u]
+        w = P[v]
         if v != w:
             _cas(u, v, w)
         return v
 
     def halve_one(u: int, other: int) -> int:
-        P = st.parent
         c[READS] += 2
-        v = int(P[u])
-        w = int(P[v])
+        v = P[u]
+        w = P[v]
         if v != w:
             _cas(u, v, w)
         return w
 
     def splice(u: int, other: int) -> int:
-        P = st.parent
         c[READS] += 2
-        pu = int(P[u])
-        _cas(u, pu, int(P[other]))
+        pu = P[u]
+        _cas(u, pu, P[other])
         return pu
 
     table = {"split-one": split_one, "halve-one": halve_one, "splice": splice}

@@ -34,18 +34,13 @@ def valid_specs() -> list[UFSpec]:
 
 
 def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
-    """Build ``union(u, v) -> hooked_root | -1`` for one spec."""
-    c = st.c.a
-    P = st.parent
+    """Build ``union(u, v) -> hooked_root | -1`` for one spec.
 
-    def _cas(i: int, old: int, new: int) -> bool:
-        c[CAS_TRY] += 1
-        if P[i] == old:
-            P[i] = new
-            c[WRITES] += 1
-            return True
-        c[CAS_FAIL] += 1
-        return False
+    Each union adds up its own parent reads/writes and CAS attempts/failures
+    in local variables and adds them to the counters once, when it returns;
+    the finds and splices it calls count themselves the same way.
+    """
+    c, P = st.c.a, st.parent
 
     def _hooked(r: int, u: int, v: int) -> int:
         c[HOOKS] += 1
@@ -57,15 +52,27 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
         find = make_find(spec.find, st)
 
         def union(u: int, v: int) -> int:
+            res = -1
+            reads = tries = fails = 0
             while True:
                 pu, pv = find(u), find(v)
                 if pu == pv:
-                    return -1
+                    break
                 if pu < pv:
                     pu, pv = pv, pu
-                c[READS] += 1
-                if P[pu] == pu and _cas(pu, pu, pv):
-                    return _hooked(pu, u, v)
+                reads += 1
+                if P[pu] == pu:
+                    tries += 1
+                    if P[pu] == pu:  # CAS(&P[pu], pu, pv)
+                        P[pu] = pv
+                        res = _hooked(pu, u, v)
+                        break
+                    fails += 1
+            c[READS] += reads
+            c[WRITES] += tries - fails
+            c[CAS_TRY] += tries
+            c[CAS_FAIL] += fails
+            return res
 
         return union
 
@@ -74,22 +81,29 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
         H = st.ensure_hooks()
 
         def union(u: int, v: int) -> int:
+            res = -1
+            reads = tries = 0
             while True:
                 pu, pv = find(u), find(v)
                 if pu == pv:
-                    return -1
+                    break
                 if pu < pv:
                     pu, pv = pv, pu
-                c[READS] += 1
+                reads += 1
                 # CAS on the auxiliary hooks array; the parents write is
                 # then uncontended (paper Algorithm 11).
-                c[CAS_TRY] += 1
+                tries += 1
                 if P[pu] == pu and H[pu] == -1:
                     H[pu] = pv
                     P[pu] = pv
-                    c[WRITES] += 2
-                    return _hooked(pu, u, v)
-                c[CAS_FAIL] += 1
+                    res = _hooked(pu, u, v)
+                    break
+            hooked = res >= 0
+            c[READS] += reads
+            c[WRITES] += 2 * hooked
+            c[CAS_TRY] += tries
+            c[CAS_FAIL] += tries - hooked
+            return res
 
         return union
 
@@ -104,19 +118,25 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
             # root-based min-hooking semantics).
             ru, rv = u, v
             res = -1
-            while True:
-                if ru == rv:
-                    break
+            reads = tries = fails = 0
+            while ru != rv:
                 if ru < rv:
                     ru, rv = rv, ru
-                c[READS] += 1
-                pu = int(P[ru])
+                reads += 1
+                pu = P[ru]
                 if pu == ru:
-                    if _cas(ru, ru, rv):
+                    tries += 1
+                    if P[ru] == ru:  # CAS(&P[ru], ru, rv)
+                        P[ru] = rv
                         res = _hooked(ru, u, v)
                         break
+                    fails += 1
                 else:
                     ru = pu
+            c[READS] += reads
+            c[WRITES] += tries - fails
+            c[CAS_TRY] += tries
+            c[CAS_FAIL] += fails
             if do_compress:
                 find(u)
                 find(v)
@@ -132,9 +152,10 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
         def union(u: int, v: int) -> int:
             ru, rv = u, v
             res = -1
+            reads = writes = tries = fails = 0
             while True:
-                c[READS] += 2
-                pu, pv = int(P[ru]), int(P[rv])
+                reads += 2
+                pu, pv = P[ru], P[rv]
                 if pu == pv:
                     break
                 if pu < pv:
@@ -142,19 +163,27 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
                 if ru == pu:  # ru is a root with larger value: hook it
                     if lock_based:
                         # acquire L[ru]; re-check under the lock, plain write
-                        c[READS] += 2
-                        pv2 = int(P[rv])
+                        reads += 2
+                        pv2 = P[rv]
                         if P[ru] == ru and ru > pv2:
                             P[ru] = pv2
-                            c[WRITES] += 1
+                            writes += 1
                             res = _hooked(ru, u, v)
                             break
                     else:
-                        if _cas(ru, ru, pv):
+                        tries += 1
+                        if P[ru] == ru:  # CAS(&P[ru], ru, pv)
+                            P[ru] = pv
+                            writes += 1
                             res = _hooked(ru, u, v)
                             break
+                        fails += 1
                 else:
                     ru = splice(ru, rv)
+            c[READS] += reads
+            c[WRITES] += writes
+            c[CAS_TRY] += tries
+            c[CAS_FAIL] += fails
             if compress is not None:
                 compress(u)
                 compress(v)
@@ -171,15 +200,27 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
         def union(u: int, v: int) -> int:
             # Randomized linking (Jayanti–Tarjan–Boix-Adserà): the root with
             # lower random priority is linked under the higher-priority root.
+            res = -1
+            reads = tries = fails = 0
             while True:
                 pu, pv = find(u), find(v)
                 if pu == pv:
-                    return -1
+                    break
                 if prio[pu] > prio[pv]:
                     pu, pv = pv, pu
-                c[READS] += 1
-                if P[pu] == pu and _cas(pu, pu, pv):
-                    return _hooked(pu, u, v)
+                reads += 1
+                if P[pu] == pu:
+                    tries += 1
+                    if P[pu] == pu:  # CAS(&P[pu], pu, pv)
+                        P[pu] = pv
+                        res = _hooked(pu, u, v)
+                        break
+                    fails += 1
+            c[READS] += reads
+            c[WRITES] += tries - fails
+            c[CAS_TRY] += tries
+            c[CAS_FAIL] += fails
+            return res
 
         return union
 

@@ -32,7 +32,7 @@ def test_find_naive_no_writes():
 def test_find_compress_flattens():
     st = chain_state()
     make_find("compress", st)(7)
-    assert (st.parent == 0).all() or (st.parent[1:] == 0).all()
+    assert (np.asarray(st.parent) == 0).all() or (np.asarray(st.parent[1:]) == 0).all()
 
 
 def test_find_split_shortens():

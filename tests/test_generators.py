@@ -146,3 +146,15 @@ def test_streaming_graphs(kind):
 def test_suite_unknown_raises():
     with pytest.raises(KeyError):
         suite.get("nope")
+
+
+def test_df_memoized_per_session(spark):
+    """One DataFrame per (graph, session); another session rebuilds it."""
+    g = gen.grid(3, 4)
+    d = g.df(spark)
+    assert g.df(spark) is d
+    other = spark.newSession()
+    d2 = g.df(other)
+    assert d2 is not d and d2.sparkSession is other
+    rows = sorted((r.src, r.dst) for r in d2.collect())
+    assert rows == sorted(zip(g.src.tolist(), g.dst.tolist()))

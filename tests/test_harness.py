@@ -55,3 +55,25 @@ def test_to_markdown(tmp_path, monkeypatch):
     monkeypatch.setattr(T, "RESULTS_DIR", tmp_path)
     path = T.to_markdown(pd.DataFrame({"a": [1.0]}), "t")
     assert path.read_text().startswith("|")
+
+
+def test_jobs_common_puts_src_on_worker_path(tmp_path):
+    """jobs/_common.py works from a bare checkout: importing it makes
+    ``repro`` importable on the driver and exports ``src`` on PYTHONPATH,
+    which the Spark JVM (started later) hands to its Python workers."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import os, sys; sys.path.insert(0, sys.argv[1]); import _common, repro; "
+        "print(os.environ['PYTHONPATH'])"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYSPARK_SUBMIT_ARGS")}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(root / "jobs")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip().split(os.pathsep)[0] == str(root / "src")

@@ -102,3 +102,40 @@ def test_counters_accumulate():
     s = StreamingConnectIt(G.n)
     s.process_batch(EDGES)
     assert s.state.c.as_dict()["parent_reads"] > 0
+
+
+BAD_PAIRS = {"negative": (1, -1), "too-large": (1, 4), "float": (0.0, 1.9)}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PAIRS))
+@pytest.mark.parametrize("op", ["insert", "is_connected", "batch-update", "batch-query"])
+def test_rejects_bad_ids(op, case):
+    """Bad ids raise ValueError before any update of the batch is applied."""
+    s = StreamingConnectIt(4)
+    s.process_batch(np.array([[0, 1]]))
+    pair = BAD_PAIRS[case]
+    with pytest.raises(ValueError):
+        if op == "insert":
+            s.insert(*pair)
+        elif op == "is_connected":
+            s.is_connected(*pair)
+        elif op == "batch-update":
+            s.process_batch(np.array([[2, 3], pair]))
+        else:
+            s.process_batch(np.array([[2, 3]]), np.array([pair]))
+    assert s.labels().tolist() == [0, 0, 2, 3]
+
+
+@pytest.mark.parametrize("name", ["type1-rem-cas", "type2-sv", "type3-rem-splice"])
+def test_empty_graph(name):
+    s = StreamingConnectIt(0, ALGOS[name])
+    assert len(s.process_batch(np.empty((0, 2)), np.empty((0, 2)))) == 0
+    assert len(s.labels()) == 0
+
+
+@pytest.mark.parametrize("name", sorted(ALGOS))
+def test_counts_one_union_per_update(name):
+    s = StreamingConnectIt(G.n, ALGOS[name])
+    s.process_batch(EDGES[:50])
+    s.insert(*EDGES[50])
+    assert s.state.c.as_dict()["unions"] == 51

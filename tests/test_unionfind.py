@@ -157,3 +157,25 @@ def test_jtb_random_roots_canonicalize():
 def test_empty_edge_list():
     labels, st = run_components(7, np.empty((0, 2), np.int64), UFSpec("uf-async", "naive"))
     assert np.array_equal(labels, np.arange(7))
+
+
+BAD_EDGES = {
+    "negative": [[0, -1]],
+    "too-large": [[0, 3]],
+    "float": [[0.0, 1.9]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EDGES))
+def test_run_components_rejects_bad_ids(case):
+    """A negative id would wrap through list indexing into a wrong partition."""
+    with pytest.raises(ValueError):
+        run_components(3, np.array(BAD_EDGES[case]), UFSpec())
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_run_components_empty(n):
+    """Empty edge arrays of any dtype are valid, including on n = 0."""
+    labels, st = run_components(n, np.empty((0, 2)), UFSpec())
+    assert labels.tolist() == list(range(n))
+    assert st.c.as_dict()["unions"] == 0
