@@ -26,6 +26,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core import minbased, sampling as sampling_mod, uf_finish
+from repro.core.sampling import identify_frequent
 from repro.graphs.generators import Graph
 from repro.graphs.ground_truth import canonicalize
 from repro.unionfind import UFSpec
@@ -34,13 +35,6 @@ UF_FINISHES = ("uf-async", "uf-hooks", "uf-early", "uf-rem-cas", "uf-rem-lock", 
 MINBASED_FINISHES = ("sv", "stergiou", "labelprop") + tuple(f"lt-{c}" for c in minbased.LT_CODES)
 ALL_FINISHES = UF_FINISHES + MINBASED_FINISHES
 SAMPLINGS = ("none", "kout", "bfs", "ldd")
-
-
-def identify_frequent(labels: np.ndarray) -> tuple[int, int]:
-    """Most frequent component id and its size (Algorithm 1 line 6)."""
-    vals, counts = np.unique(labels, return_counts=True)
-    i = int(np.argmax(counts))
-    return int(vals[i]), int(counts[i])
 
 
 def run_sampling(

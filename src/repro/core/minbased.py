@@ -13,10 +13,11 @@ contracted vertex 0, the smallest possible ID, so it is never relabeled.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 MAX_ROUNDS = 500
@@ -34,7 +35,7 @@ class LTSpec:
     connect: connect | parent | extended — candidate generation rule.
     root_up: update only round-start roots.
     shortcut: one | full — one compression step vs. to fixpoint.
-    alter: rewrite edge endpoints to current labels after the round.
+    alter: rewrite edge endpoints to the current labels every round.
     """
 
     connect: str
@@ -54,34 +55,58 @@ class LTSpec:
         return cls(connect, root_up, shortcut, alter)
 
 
-def _init_labels(spark: SparkSession, n: int) -> DataFrame:
-    return spark.range(n).select(F.col("id").alias("v"), F.col("id").alias("p")).localCheckpoint()
+def _with_parents(E: DataFrame, P: DataFrame) -> DataFrame:
+    """E's rows with the current parent of each endpoint as ``ps`` / ``pd``."""
+    Ps = P.select(F.col("v").alias("sv"), F.col("p").alias("ps"))
+    Pd = P.select(F.col("v").alias("dv"), F.col("p").alias("pd"))
+    return E.join(Ps, E.src == F.col("sv")).join(Pd, E.dst == F.col("dv"))
+
+
+def _min_update(P: DataFrame, cand: DataFrame, extra: Column | None = None) -> DataFrame:
+    """writeMin: P[x] ← min(P[x], min c over the (x, c) candidates), only where
+    ``extra`` holds; ``chg`` marks the rows it lowered."""
+    agg = cand.groupBy("x").agg(F.min("c").alias("c"))
+    upd = F.col("c").isNotNull() & (F.col("c") < F.col("p"))
+    if extra is not None:
+        upd = upd & extra
+    joined = P.join(agg, P.v == agg.x, "left")
+    return joined.select("v", F.when(upd, F.col("c")).otherwise(F.col("p")).alias("p"), upd.alias("chg"))
 
 
 def _shortcut_once(P: DataFrame) -> DataFrame:
-    """P[v] ← P[P[v]] for all v, synchronously."""
+    """P[v] ← P[P[v]] for all v, synchronously; ``moved`` marks the rows this
+    step lowered and is ORed into ``chg``."""
     Pp = P.select(F.col("v").alias("w"), F.col("p").alias("gp"))
-    return P.join(Pp, P.p == Pp.w).select("v", F.col("gp").alias("p"))
-
-
-def _changed(P_old: DataFrame, P_new: DataFrame) -> int:
-    old = P_old.select("v", F.col("p").alias("old"))
-    return P_new.join(old, "v").filter(F.col("p") != F.col("old")).count()
+    moved = F.col("gp") != F.col("p")
+    return P.join(Pp, P.p == Pp.w).select(
+        "v", F.col("gp").alias("p"), (F.col("chg") | moved).alias("chg"), moved.alias("moved")
+    )
 
 
 def _full_shortcut(P: DataFrame) -> DataFrame:
+    """Shortcut until no row moves."""
     while True:
-        P2 = _shortcut_once(P).localCheckpoint()
-        if _changed(P, P2) == 0:
-            return P2
-        P = P2
+        P = _shortcut_once(P).localCheckpoint()
+        if P.filter("moved").isEmpty():
+            return P
 
 
-def _labels_np(P: DataFrame, n: int) -> np.ndarray:
-    pdf = P.toPandas().sort_values("v")
-    out = np.arange(n, dtype=np.int64)
-    out[pdf["v"].to_numpy()] = pdf["p"].to_numpy()
-    return out
+def _iterate(
+    spark: SparkSession, n: int, step: Callable[[DataFrame], DataFrame], name: str, budget: int = MAX_ROUNDS
+) -> tuple[np.ndarray, int]:
+    """Run synchronous rounds ``P = step(P)`` from the identity labeling until
+    no row's ``chg`` flag is set. Labels only decrease and P[v] ≤ v holds
+    throughout, so a set flag is exactly a label that differs from the
+    round's start. Returns ``(labels, rounds)``."""
+    P = spark.range(n).select(F.col("id").alias("v"), F.col("id").alias("p"), F.lit(True).alias("chg"))
+    for rounds in range(1, budget + 1):
+        P = step(P).localCheckpoint()
+        if P.filter("chg").isEmpty():
+            out = np.arange(n, dtype=np.int64)
+            pdf = P.select("v", "p").toPandas()
+            out[pdf["v"].to_numpy()] = pdf["p"].to_numpy()
+            return out, rounds
+    raise RuntimeError(f"{name} exceeded {budget} rounds")
 
 
 def liu_tarjan(
@@ -90,130 +115,75 @@ def liu_tarjan(
     """Run one Liu-Tarjan variant to convergence."""
     if isinstance(spec, str):
         spec = LTSpec.from_code(spec)
-    P = _init_labels(spark, n)
-    E = edges_df.select("src", "dst").localCheckpoint() if spec.alter else edges_df
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > MAX_ROUNDS:
-            raise RuntimeError(f"Liu-Tarjan {spec} exceeded {MAX_ROUNDS} rounds")
-        Pd = P.select(F.col("v").alias("dv"), F.col("p").alias("dp"))
-        if spec.connect == "connect":
-            # Connect: the edge endpoints are candidates for each other
-            # (requires Alter for correctness, as in Liu-Tarjan).
-            cand = E.select(F.col("src").alias("x"), F.col("dst").alias("cand"))
-        else:
-            # ParentConnect: P[dst] is a candidate for P[src] — the update
-            # lands at the *parent*, which under RootUp is the round-start
-            # root once trees are flat (Liu-Tarjan's P-* algorithms).
-            Ps = P.select(F.col("v").alias("sv"), F.col("p").alias("sp"))
-            both = E.join(Pd, E.dst == Pd.dv).join(Ps, E.src == F.col("sv"))
-            parent_cand = both.select(F.col("sp").alias("x"), F.col("dp").alias("cand"))
-            if spec.connect == "parent":
-                cand = parent_cand
-            else:  # extended: P[dst] is also a candidate for src itself
-                up_cand = both.select(F.col("src").alias("x"), F.col("dp").alias("cand"))
-                cand = parent_cand.unionByName(up_cand)
-        agg = cand.groupBy("x").agg(F.min("cand").alias("c"))
-        joined = P.join(agg, P.v == agg.x, "left")
-        upd_ok = F.col("c").isNotNull() & (F.col("c") < F.col("p"))
-        if spec.root_up:
-            upd_ok = upd_ok & (F.col("p") == F.col("v"))
-        P2 = joined.select("v", F.when(upd_ok, F.col("c")).otherwise(F.col("p")).alias("p")).localCheckpoint()
-        P3 = _full_shortcut(P2) if spec.shortcut == "full" else _shortcut_once(P2).localCheckpoint()
-        chg = _changed(P, P3)
+    E = edges_df
+
+    def step(P: DataFrame) -> DataFrame:
+        nonlocal E
         if spec.alter:
-            Pm = P3.select(F.col("v").alias("mv"), F.col("p").alias("mp"))
+            # Alter: rewrite edge endpoints to the labels the previous round
+            # left (the identity in round 1, where it only drops duplicates).
             E = (
-                E.join(Pm, E.src == Pm.mv)
-                .select(F.col("mp").alias("src"), "dst")
-                .join(Pm.withColumnRenamed("mv", "mv2").withColumnRenamed("mp", "mp2"), F.col("dst") == F.col("mv2"))
-                .select("src", F.col("mp2").alias("dst"))
+                _with_parents(E, P)
+                .select(F.col("ps").alias("src"), F.col("pd").alias("dst"))
                 .filter(F.col("src") != F.col("dst"))
                 .distinct()
                 .localCheckpoint()
             )
-        P = P3
-        if chg == 0:
-            return _labels_np(P, n), rounds
+        if spec.connect == "connect":
+            # Connect: the edge endpoints are candidates for each other
+            # (requires Alter for correctness, as in Liu-Tarjan).
+            cand = E.select(F.col("src").alias("x"), F.col("dst").alias("c"))
+        else:
+            # ParentConnect: P[dst] is a candidate for P[src] — the update
+            # lands at the *parent*, which under RootUp is the round-start
+            # root once trees are flat (Liu-Tarjan's P-* algorithms).
+            both = _with_parents(E, P)
+            cand = both.select(F.col("ps").alias("x"), F.col("pd").alias("c"))
+            if spec.connect == "extended":  # P[dst] is also a candidate for src itself
+                cand = cand.unionByName(both.select(F.col("src").alias("x"), F.col("pd").alias("c")))
+        P = _min_update(P, cand, (F.col("p") == F.col("v")) if spec.root_up else None)
+        return _full_shortcut(P) if spec.shortcut == "full" else _shortcut_once(P)
+
+    return _iterate(spark, n, step, f"Liu-Tarjan {spec}")
 
 
 def stergiou(spark: SparkSession, edges_df: DataFrame, n: int) -> tuple[np.ndarray, int]:
     """Stergiou et al.'s BSP algorithm: ParentConnect from a *previous* parents
     array, min-update into the current one, then Shortcut (paper B.2.5)."""
-    P = _init_labels(spark, n)
-    prev = P
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > MAX_ROUNDS:
-            raise RuntimeError("Stergiou exceeded round budget")
-        prevd = prev.select(F.col("v").alias("dv"), F.col("p").alias("dp"))
-        cand = edges_df.join(prevd, edges_df.dst == F.col("dv")).select(
-            F.col("src").alias("x"), F.col("dp").alias("cand")
-        )
-        agg = cand.groupBy("x").agg(F.min("cand").alias("c"))
-        joined = P.join(agg, P.v == agg.x, "left")
-        P2 = joined.select(
-            "v",
-            F.when(F.col("c").isNotNull() & (F.col("c") < F.col("p")), F.col("c")).otherwise(F.col("p")).alias("p"),
-        ).localCheckpoint()
-        P3 = _shortcut_once(P2).localCheckpoint()
-        chg = _changed(P, P3)
-        prev, P = P, P3
-        if chg == 0:
-            return _labels_np(P, n), rounds
+    prev = None  # the parents array one round back; round 1 reads the identity
+
+    def step(P: DataFrame) -> DataFrame:
+        nonlocal prev
+        old, prev = (P if prev is None else prev), P
+        prevd = old.select(F.col("v").alias("dv"), F.col("p").alias("dp"))
+        cand = edges_df.join(prevd, edges_df.dst == F.col("dv")).select(F.col("src").alias("x"), F.col("dp").alias("c"))
+        return _shortcut_once(_min_update(P, cand))
+
+    return _iterate(spark, n, step, "Stergiou")
 
 
 def shiloach_vishkin(spark: SparkSession, edges_df: DataFrame, n: int) -> tuple[np.ndarray, int]:
     """Shiloach-Vishkin with writeMin hooks on round-start roots and full
     pointer jumping per round (paper Algorithm 15)."""
-    P = _init_labels(spark, n)
-    prev = P
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > MAX_ROUNDS:
-            raise RuntimeError("SV exceeded round budget")
-        Ps = P.select(F.col("v").alias("sv"), F.col("p").alias("pu"))
-        Pd = P.select(F.col("v").alias("dv"), F.col("p").alias("pv"))
-        both = edges_df.join(Ps, edges_df.src == F.col("sv")).join(Pd, edges_df.dst == F.col("dv"))
-        lh = both.select(
-            F.least("pu", "pv").alias("l"), F.greatest("pu", "pv").alias("h")
-        ).filter(F.col("l") != F.col("h"))
-        roots = prev.filter(F.col("p") == F.col("v")).select(F.col("v").alias("rv"))
-        hooks = lh.join(roots, lh.h == F.col("rv")).groupBy("h").agg(F.min("l").alias("l"))
-        joined = P.join(hooks, P.v == hooks.h, "left")
-        P2 = joined.select("v", F.least(F.col("p"), F.coalesce(F.col("l"), F.col("p"))).alias("p")).localCheckpoint()
-        P3 = _full_shortcut(P2)
-        chg = _changed(P, P3)
-        prev, P = P3, P3
-        if chg == 0:
-            return _labels_np(P, n), rounds
+
+    def step(P: DataFrame) -> DataFrame:
+        # hook the larger endpoint parent x onto the smaller c, if x is a root
+        lh = _with_parents(edges_df, P).select(
+            F.least("ps", "pd").alias("c"), F.greatest("ps", "pd").alias("x")
+        ).filter(F.col("c") != F.col("x"))
+        roots = P.filter(F.col("p") == F.col("v")).select(F.col("v").alias("rv"))
+        return _full_shortcut(_min_update(P, lh.join(roots, lh.x == F.col("rv"))))
+
+    return _iterate(spark, n, step, "SV")
 
 
 def label_propagation(spark: SparkSession, edges_df: DataFrame, n: int) -> tuple[np.ndarray, int]:
-    """Folklore frontier-based min label propagation ((min, min)-SpMV)."""
-    P = _init_labels(spark, n)
-    frontier = P.select("v")
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > 10 * MAX_ROUNDS:
-            raise RuntimeError("Label-Propagation exceeded round budget")
-        Ps = P.select(F.col("v").alias("sv"), F.col("p").alias("sp"))
-        cand = (
-            edges_df.join(frontier, edges_df.src == frontier.v)
-            .join(Ps, edges_df.src == F.col("sv"))
-            .select(edges_df.dst.alias("x"), F.col("sp").alias("cand"))
-            .groupBy("x")
-            .agg(F.min("cand").alias("c"))
-        )
-        joined = P.join(cand, P.v == cand.x, "left")
-        upd = F.col("c").isNotNull() & (F.col("c") < F.col("p"))
-        P2 = joined.select("v", F.when(upd, F.col("c")).otherwise(F.col("p")).alias("p"), upd.alias("chg")).localCheckpoint()
-        frontier = P2.filter("chg").select("v").localCheckpoint()
-        cnt = frontier.count()
-        P = P2.select("v", "p")
-        if cnt == 0:
-            return _labels_np(P, n), rounds
+    """Folklore frontier-based min label propagation ((min, min)-SpMV): only
+    the vertices lowered last round (all of them in round 1) send labels."""
+
+    def step(P: DataFrame) -> DataFrame:
+        frontier = P.filter("chg").select(F.col("v").alias("fv"), F.col("p").alias("fp"))
+        cand = edges_df.join(frontier, edges_df.src == F.col("fv"))
+        return _min_update(P, cand.select(F.col("dst").alias("x"), F.col("fp").alias("c")))
+
+    return _iterate(spark, n, step, "Label-Propagation", budget=10 * MAX_ROUNDS)

@@ -30,6 +30,15 @@ from repro.unionfind import UFSpec, run_components
 KOUT_VARIANTS = ("afforest", "pure", "hybrid", "maxdeg")
 
 
+def identify_frequent(labels: np.ndarray) -> tuple[int, int]:
+    """Most frequent component id and its size (Algorithm 1 line 6)."""
+    if len(labels) == 0:
+        raise ValueError("identify_frequent needs a non-empty labeling (the graph has no vertices)")
+    vals, counts = np.unique(labels, return_counts=True)
+    i = int(np.argmax(counts))
+    return int(vals[i]), int(counts[i])
+
+
 @dataclass
 class SampleResult:
     labels: np.ndarray  # height-1 composable labeling
@@ -39,14 +48,8 @@ class SampleResult:
     rounds: int = 0
     info: dict = field(default_factory=dict)
 
-    def frequent(self) -> tuple[int, int]:
-        """(most frequent label, its count) — Algorithm 1's IdentifyFrequent."""
-        vals, counts = np.unique(self.labels, return_counts=True)
-        i = int(np.argmax(counts))
-        return int(vals[i]), int(counts[i])
-
     def coverage(self) -> float:
-        return self.frequent()[1] / max(1, len(self.labels))
+        return identify_frequent(self.labels)[1] / len(self.labels)
 
     def intercomponent_fraction(self, g: Graph) -> float:
         """Fraction of edges still crossing sampled components (Tables 6/7)."""

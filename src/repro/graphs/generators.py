@@ -18,14 +18,16 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.unionfind.core import as_edges
+
 
 def _dedupe_symmetrize(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop self-loops, add reverse edges, and deduplicate.
+    """Validate, drop self-loops, add reverse edges, and deduplicate.
 
-    Vertex ids must fit in 31 bits so a pair packs into one int64 key.
+    Vertex ids must be integers in ``[0, n)`` (``ValueError`` otherwise) and
+    fit in 31 bits so a pair packs into one int64 key.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    src, dst = as_edges(np.stack([np.asarray(src), np.asarray(dst)], axis=1), n).T
     keep = src != dst
     src, dst = src[keep], dst[keep]
     a = np.concatenate([src, dst])
@@ -92,7 +94,7 @@ class Graph:
 
 
 def from_pairs(name: str, n: int, src, dst, **meta) -> Graph:
-    s, d = _dedupe_symmetrize(n, np.asarray(src), np.asarray(dst))
+    s, d = _dedupe_symmetrize(n, src, dst)
     return Graph(name, n, s, d, dict(meta))
 
 

@@ -49,6 +49,11 @@ def test_identify_frequent():
     assert identify_frequent(lab) == (2, 3)
 
 
+def test_identify_frequent_empty_labeling():
+    with pytest.raises(ValueError, match="non-empty"):
+        identify_frequent(np.array([], dtype=np.int64))
+
+
 def test_sampling_reduces_finish_edges(spark):
     _, info_ns = connectivity(spark, G, "none", "uf-rem-cas")
     _, info_s = connectivity(spark, G, "kout", "uf-rem-cas")

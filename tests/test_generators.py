@@ -130,6 +130,14 @@ def test_spark_df_roundtrip(spark):
     assert set(pdf.columns) == {"src", "dst"}
 
 
+@pytest.mark.parametrize(
+    "src, dst", [([0], [-1]), ([0], [5]), ([0.0], [1.9])], ids=["negative", "out-of-range", "float"]
+)
+def test_from_pairs_rejects_bad_ids(src, dst):
+    with pytest.raises(ValueError):
+        gen.from_pairs("x", 3, src, dst)
+
+
 @pytest.mark.parametrize("name", suite.GRAPH_NAMES)
 def test_suite_builds(name):
     g = suite.get(name, "test")

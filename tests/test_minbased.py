@@ -19,6 +19,15 @@ from repro.oracle import assert_equivalent
 SMALL = gen.disjoint_union("small", [gen.cycle(6), gen.path_graph(7), gen.star(5)])
 RMAT = gen.rmat(80, 320, seed=9)
 
+# Exact round counts of every min-based finish on SMALL and RMAT: a change
+# to the round loop must keep the synchronous-round semantics, not just the
+# partition.
+LT_SMALL_ROUNDS = {
+    "cusa": 4, "crsa": 4, "pusa": 4, "prsa": 4, "pus": 4, "prs": 4, "eusa": 4, "eus": 3,
+    "cufa": 2, "crfa": 2, "pufa": 2, "prfa": 2, "puf": 2, "prf": 2, "eufa": 2, "euf": 2,
+}
+LT_RMAT_ROUNDS = {"crfa": 3, "prf": 3, "pus": 3, "euf": 3}
+
 
 @pytest.fixture(scope="module")
 def small_edges(spark):
@@ -39,14 +48,15 @@ def test_liu_tarjan_all_variants(spark, small_edges, code):
     truth = cc_labels(SMALL.n, SMALL.src, SMALL.dst)
     labels, rounds = liu_tarjan(spark, small_edges, SMALL.n, code)
     assert same_partition(labels, truth), code
-    assert rounds >= 1
+    assert rounds == LT_SMALL_ROUNDS[code], code
 
 
 @pytest.mark.parametrize("code", ["crfa", "prf", "pus", "euf"])
 def test_liu_tarjan_on_rmat(spark, rmat_edges, code):
     truth = cc_labels(RMAT.n, RMAT.src, RMAT.dst)
-    labels, _ = liu_tarjan(spark, rmat_edges, RMAT.n, code)
+    labels, rounds = liu_tarjan(spark, rmat_edges, RMAT.n, code)
     assert same_partition(labels, truth)
+    assert rounds == LT_RMAT_ROUNDS[code], code
 
 
 def test_lt_spec_parsing():
@@ -65,18 +75,19 @@ def test_lt_code_list_matches_paper():
 
 
 def test_stergiou(spark, small_edges, rmat_edges):
-    for g, e in ((SMALL, small_edges), (RMAT, rmat_edges)):
+    for g, e, want in ((SMALL, small_edges, 4), (RMAT, rmat_edges, 4)):
         truth = cc_labels(g.n, g.src, g.dst)
         labels, rounds = stergiou(spark, e, g.n)
         assert same_partition(labels, truth)
-        assert rounds >= 1
+        assert rounds == want, g.name
 
 
 def test_shiloach_vishkin(spark, small_edges, rmat_edges):
-    for g, e in ((SMALL, small_edges), (RMAT, rmat_edges)):
+    for g, e, want in ((SMALL, small_edges, 2), (RMAT, rmat_edges, 3)):
         truth = cc_labels(g.n, g.src, g.dst)
         labels, rounds = shiloach_vishkin(spark, e, g.n)
         assert same_partition(labels, truth)
+        assert rounds == want, g.name
 
 
 def test_sv_logarithmic_rounds(spark):
@@ -86,10 +97,12 @@ def test_sv_logarithmic_rounds(spark):
     assert rounds <= 10  # pointer jumping: O(log n), not O(diameter)
 
 
-def test_label_propagation(spark, small_edges):
-    truth = cc_labels(SMALL.n, SMALL.src, SMALL.dst)
-    labels, rounds = label_propagation(spark, small_edges, SMALL.n)
-    assert same_partition(labels, truth)
+def test_label_propagation(spark, small_edges, rmat_edges):
+    for g, e, want in ((SMALL, small_edges, 7), (RMAT, rmat_edges, 4)):
+        truth = cc_labels(g.n, g.src, g.dst)
+        labels, rounds = label_propagation(spark, e, g.n)
+        assert same_partition(labels, truth)
+        assert rounds == want, g.name
 
 
 def test_label_propagation_rounds_track_diameter(spark):

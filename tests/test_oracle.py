@@ -1,41 +1,50 @@
-"""Oracle substrate integration: DuckDB equality checks over TPC-H-lite and
-over graph-derived relational results."""
+"""Oracle substrate integration: DuckDB equality checks over graph-derived
+relational results, including connected components computed in SQL."""
+from functools import partial
+
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
+from repro.core import minbased
 from repro.graphs import suite
+from repro.graphs.ground_truth import canonicalize
 from repro.oracle import assert_equivalent
 
+# Min-label propagation in SQL, independent of the repo's code: every vertex
+# starts with its own id, each recursion step carries labels across an edge,
+# and UNION's deduplication stops it once no new (vertex, label) pair
+# appears. The smallest label reached is the component's minimum vertex id —
+# exactly what ``canonicalize`` maps each class to.
+COMPONENTS_SQL = """
+WITH RECURSIVE reach(v, label) AS (
+    SELECT v, v FROM verts
+    UNION
+    SELECT e.dst, reach.label FROM reach JOIN e ON e.src = reach.v
+)
+SELECT v, MIN(label) AS label FROM reach GROUP BY v
+"""
 
-def test_lineitem_aggregate(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = (
-        li.groupBy("l_returnflag")
-        .agg(F.sum("l_quantity").alias("qty"), F.count(F.lit(1)).alias("cnt"))
-    )
-    assert_equivalent(
-        got,
-        "SELECT l_returnflag, SUM(l_quantity) AS qty, COUNT(*) AS cnt FROM li GROUP BY l_returnflag",
-        li=li,
-    )
+MINBASED = {
+    "sv": minbased.shiloach_vishkin,
+    "stergiou": minbased.stergiou,
+    "labelprop": minbased.label_propagation,
+    # one Liu-Tarjan variant per connect rule
+    "lt-crfa": partial(minbased.liu_tarjan, spec="crfa"),
+    "lt-prf": partial(minbased.liu_tarjan, spec="prf"),
+    "lt-euf": partial(minbased.liu_tarjan, spec="euf"),
+}
 
 
-def test_orders_join(spark):
-    o = synth_data.orders(spark, sf=0.001)
-    c = synth_data.customer(spark, sf=0.001)
-    got = (
-        o.join(c, o.o_custkey == c.c_custkey)
-        .groupBy("c_mktsegment")
-        .agg(F.count(F.lit(1)).alias("n_orders"))
-    )
-    assert_equivalent(
-        got,
-        "SELECT c_mktsegment, COUNT(*) AS n_orders FROM o JOIN c ON o_custkey = c_custkey GROUP BY c_mktsegment",
-        o=o,
-        c=c,
-    )
+@pytest.mark.parametrize("finish", sorted(MINBASED))
+def test_minbased_components_via_duckdb(spark, tiny_graphs, finish):
+    # the web-like graph and the disjoint union both have several components
+    for g in (tiny_graphs[2], tiny_graphs[3]):
+        labels, _ = MINBASED[finish](spark, g.df(spark), g.n)
+        v = np.arange(g.n)
+        got = spark.createDataFrame(pd.DataFrame({"v": v, "label": canonicalize(labels)}))
+        assert_equivalent(got, COMPONENTS_SQL, e=g.pandas(), verts=pd.DataFrame({"v": v}))
 
 
 def test_degree_distribution_via_oracle(spark):

@@ -7,6 +7,7 @@ from repro.core.sampling import (
     KOUT_VARIANTS,
     bfs_sample,
     get_sampler,
+    identify_frequent,
     identity_sample,
     kout_sample,
     ldd_sample,
@@ -127,7 +128,7 @@ def test_get_sampler_registry():
 
 def test_frequent_identifies_massive(spark, cw, cw_truth):
     s = kout_sample(spark, cw, k=2, variant="hybrid")
-    freq, count = s.frequent()
+    freq, count = identify_frequent(s.labels)
     # the most frequent sampled label sits inside the true massive component
     big = np.bincount(cw_truth).argmax()
     assert cw_truth[freq] == big
