@@ -16,7 +16,7 @@ from repro.graphs.generators import Graph
 
 
 def bfscc(spark: SparkSession, g: Graph) -> tuple[np.ndarray, dict]:
-    edges = g.df(spark).localCheckpoint()
+    edges = g.df(spark)
     labels = np.full(g.n, -1, dtype=np.int64)
     rounds = 0
     n_bfs = 0
@@ -26,8 +26,8 @@ def bfscc(spark: SparkSession, g: Graph) -> tuple[np.ndarray, dict]:
         if len(uncovered) == 0:
             break
         src = int(uncovered[0])
-        tree, r = bfs_tree(spark, edges, src)
-        vs = tree.toPandas()["v"].to_numpy(dtype=np.int64)
+        tree, r = bfs_tree(spark, edges, g.n, src)
+        vs = tree["v"].to_numpy()
         labels[vs] = src
         rounds += r
         n_bfs += 1

@@ -4,20 +4,18 @@ high-diameter graphs (Table 3)."""
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.minbased import label_propagation
 from repro.dataflow.bfs import bfs_tree
-from repro.graphs.generators import Graph
+from repro.graphs.generators import Graph, edge_frame
 
 
 def multistep(spark: SparkSession, g: Graph, seed: int = 0) -> tuple[np.ndarray, dict]:
     gen = np.random.default_rng(seed)
-    edges = g.df(spark).localCheckpoint()
     src = int(gen.integers(0, g.n))
-    tree, bfs_rounds = bfs_tree(spark, edges, src)
-    vs = tree.toPandas()["v"].to_numpy(dtype=np.int64)
+    tree, bfs_rounds = bfs_tree(spark, g.df(spark), g.n, src)
+    vs = tree["v"].to_numpy()
     labels = np.arange(g.n, dtype=np.int64)
     labels[vs] = src
     covered = np.zeros(g.n, dtype=bool)
@@ -27,8 +25,7 @@ def multistep(spark: SparkSession, g: Graph, seed: int = 0) -> tuple[np.ndarray,
     rs, rd = g.src[keep], g.dst[keep]
     lp_rounds = 0
     if len(rs):
-        rest_df = spark.createDataFrame(pd.DataFrame({"src": rs, "dst": rd}))
-        lp_labels, lp_rounds = label_propagation(spark, rest_df, g.n)
+        lp_labels, lp_rounds = label_propagation(spark, edge_frame(spark, rs, rd), g.n)
         # LP components touching the BFS-covered massive component merge
         # into it: map any LP class containing a covered vertex to src.
         has_cov = np.zeros(g.n, dtype=bool)

@@ -8,11 +8,10 @@ point for the paper's 3.2x headline speedup.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.dataflow.ldd import ldd_labels
-from repro.graphs.generators import Graph
+from repro.graphs.generators import Graph, edge_frame
 
 
 def workeff_cc(
@@ -27,12 +26,10 @@ def workeff_cc(
     while len(src) and levels < max_levels:
         levels += 1
         nc = int(composed.max()) + 1
-        edges_df = spark.createDataFrame(pd.DataFrame({"src": src, "dst": dst}))
-        lab_df, rounds = ldd_labels(spark, edges_df, nc, beta=beta, seed=seed + levels)
+        lab, rounds = ldd_labels(spark, edge_frame(spark, src, dst), nc, beta=beta, seed=seed + levels)
         total_rounds += rounds
-        pdf = lab_df.toPandas()
         clab = np.arange(nc, dtype=np.int64)
-        clab[pdf["v"].to_numpy(dtype=np.int64)] = pdf["center"].to_numpy(dtype=np.int64)
+        clab[lab["v"].to_numpy()] = lab["center"].to_numpy()
         # contract: relabel cluster centers densely, drop intra-cluster edges
         centers, dense = np.unique(clab, return_inverse=True)
         composed = dense[clab[composed]]

@@ -22,12 +22,11 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core import minbased, sampling as sampling_mod, uf_finish
 from repro.core.sampling import identify_frequent
-from repro.graphs.generators import Graph
+from repro.graphs.generators import Graph, edge_frame
 from repro.graphs.ground_truth import canonicalize
 from repro.unionfind import UFSpec
 
@@ -161,8 +160,7 @@ def finish_with_sample(
                 labels = sample.labels.copy()
                 rounds = 0
             else:
-                cedges = spark.createDataFrame(pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1]}))
-                clabels, rounds = runner(spark, cedges, nc)
+                clabels, rounds = runner(spark, edge_frame(spark, pairs[:, 0], pairs[:, 1]), nc)
                 labels = clabels[cid]
         info["rounds"] = rounds
     info["finish_time_s"] = time.perf_counter() - t1

@@ -135,14 +135,13 @@ def bfs_sample(
     edges_processed = 0
     for _ in range(c):
         src = int(gen.integers(0, g.n))
-        tree, r = bfs_tree(spark, edges, src)
+        tree, r = bfs_tree(spark, edges, g.n, src)
         rounds += r
-        pdf = tree.toPandas()
-        vs = pdf["v"].to_numpy(dtype=np.int64)
+        vs = tree["v"].to_numpy()
         edges_processed += int(degs[vs].sum())
         if len(vs) > coverage_cutoff * g.n:
             labels[vs] = src
-            forest = [(int(p), int(v)) for v, p in pdf[["v", "parent"]].to_numpy() if v != p]
+            forest = [(int(p), int(v)) for v, p in tree[["v", "parent"]].to_numpy() if v != p]
             break
     return SampleResult(
         # canonical min-id roots keep the min-ordering invariant that the
@@ -160,11 +159,10 @@ def ldd_sample(
 ) -> SampleResult:
     """LDD sampling (Algorithm 6): a single Miller–Peng–Xu round-set."""
     t0 = time.perf_counter()
-    lab_df, rounds = ldd_labels(spark, g.df(spark), g.n, beta=beta, seed=seed, permute=permute)
-    pdf = lab_df.toPandas()
+    lab, rounds = ldd_labels(spark, g.df(spark), g.n, beta=beta, seed=seed, permute=permute)
     labels = np.arange(g.n, dtype=np.int64)
-    labels[pdf["v"].to_numpy(dtype=np.int64)] = pdf["center"].to_numpy(dtype=np.int64)
-    forest = [(int(p), int(v)) for v, p in pdf[["v", "parent"]].to_numpy() if v != p]
+    labels[lab["v"].to_numpy()] = lab["center"].to_numpy()
+    forest = [(int(p), int(v)) for v, p in lab[["v", "parent"]].to_numpy() if v != p]
     return SampleResult(
         labels=canonicalize(labels),
         forest=forest,

@@ -1,3 +1,3 @@
-"""Iterative DataFrame kernels: frontier BFS and low-diameter decomposition."""
+"""Frontier kernels over a Spark edgeMap: BFS and low-diameter decomposition."""
 from repro.dataflow.bfs import bfs_tree  # noqa: F401
 from repro.dataflow.ldd import ldd_labels  # noqa: F401

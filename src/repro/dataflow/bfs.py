@@ -1,45 +1,49 @@
-"""Breadth-first search as an iterative DataFrame program.
+"""Breadth-first search as a driver-held frontier over a Spark edgeMap.
 
-Each round joins the frontier with the edge table and anti-joins the visited
-set — the dataflow analog of Ligra's edgeMap. Direction-optimization (the
-paper's dense iterations) has no cost asymmetry in dataflow: both sparse and
-dense traversal are the same join, so the optimization is a no-op here; we
-note this in DESIGN.md. ``localCheckpoint`` truncates lineage every round.
+Each round maps the frontier over the edge table (``_edge_map``: a broadcast
+join and a min-aggregation, the dataflow analog of Ligra's edgeMap) and keeps
+the vertices not reached before, each with its minimum frontier neighbour as
+BFS parent. The vertex subset and the tree live on the driver as numpy arrays.
+Direction-optimization (the paper's dense iterations) has no cost asymmetry in
+dataflow: both sparse and dense traversal are the same join, so the
+optimization is a no-op here; we note this in DESIGN.md.
 """
 from __future__ import annotations
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+
+from repro.dataflow.edgemap import _edge_map
 
 
 def bfs_tree(
     spark: SparkSession,
     edges_df: DataFrame,
+    n: int,
     source: int,
     max_rounds: int | None = None,
-) -> tuple[DataFrame, int]:
-    """BFS from ``source``; returns (tree, rounds).
+) -> tuple[pd.DataFrame, int]:
+    """BFS from ``source`` over vertices ``[0, n)``; returns (tree, rounds).
 
     ``tree`` has columns ``v, parent, dist``: every vertex reachable from
     ``source`` with its BFS-tree parent (``parent = v`` for the source).
     """
-    visited = spark.createDataFrame([(source, source, 0)], "v long, parent long, dist int").localCheckpoint()
-    frontier = visited.select("v")
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} outside [0, {n})")
+    parent = np.full(n, -1, dtype=np.int64)
+    dist = np.full(n, -1, dtype=np.int32)  # -1: not reached yet
+    parent[source], dist[source] = source, 0
+    frontier = np.array([source], dtype=np.int64)
     rounds = 0
-    while True:
-        if max_rounds is not None and rounds >= max_rounds:
+    while max_rounds is None or rounds < max_rounds:
+        reached = _edge_map(spark, edges_df, pd.DataFrame({"src": frontier}))
+        dst, src = (reached[c].to_numpy(dtype=np.int64) for c in ("dst", "src"))
+        new = dist[dst] < 0
+        if not new.any():
             break
-        cand = (
-            edges_df.join(frontier, edges_df.src == frontier.v)
-            .select(edges_df.dst.alias("v"), edges_df.src.alias("parent"))
-            .groupBy("v")
-            .agg(F.min("parent").alias("parent"))
-        )
-        new = cand.join(visited.select("v").withColumnRenamed("v", "vv"), cand.v == F.col("vv"), "left_anti")
-        new = new.withColumn("dist", F.lit(rounds + 1)).localCheckpoint()
-        if new.isEmpty():
-            break
-        visited = visited.unionByName(new).localCheckpoint()
-        frontier = new.select("v")
+        frontier = dst[new]
         rounds += 1
-    return visited, rounds
+        parent[frontier], dist[frontier] = src[new], rounds
+    vs = np.flatnonzero(dist >= 0)
+    return pd.DataFrame({"v": vs, "parent": parent[vs], "dist": dist[vs]}), rounds

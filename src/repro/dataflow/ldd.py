@@ -1,17 +1,22 @@
-"""Miller–Peng–Xu low-diameter decomposition as an iterative DataFrame program.
+"""Miller–Peng–Xu low-diameter decomposition as a driver-held frontier.
 
 Each vertex draws a shift δ_v ~ Exp(β); vertex v wakes up (starts its own
 cluster) in round ⌊δ_max − δ_v⌋ if still unclustered, and clusters grow by
 one BFS hop per round (ties broken by minimum center id, optionally over a
 random permutation of priorities). Produces clusters of strong diameter
 O(log n / β) cutting O(βm) edges in expectation (paper §3.2).
+
+The shifts, the clustering and the frontier live on the driver as numpy
+arrays; each growth step is one ``_edge_map`` over the edge table, and a
+round whose frontier is empty runs no Spark query.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+
+from repro.dataflow.edgemap import _edge_map
 
 
 def ldd_labels(
@@ -21,7 +26,7 @@ def ldd_labels(
     beta: float = 0.2,
     seed: int = 0,
     permute: bool = False,
-) -> tuple[DataFrame, int]:
+) -> tuple[pd.DataFrame, int]:
     """One LDD round-set; returns (labels, rounds).
 
     ``labels`` has columns ``v, center, parent``: every vertex, its cluster
@@ -35,42 +40,30 @@ def ldd_labels(
     # cluster-priority = center id, optionally permuted so vertex order and
     # tie-break order decouple (the `permute` knob of Appendix C.3)
     prio = g.permutation(n).astype(np.int64) if permute else np.arange(n, dtype=np.int64)
-    starts_df = spark.createDataFrame(
-        pd.DataFrame({"v": np.arange(n, dtype=np.int64), "start": start, "prio": prio})
-    ).localCheckpoint()
 
-    labels = spark.createDataFrame([], "v long, center long, parent long").localCheckpoint()
-    frontier = labels.select("v", "center")
-    labeled = 0
+    center = np.full(n, -1, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    labeled = np.zeros(n, dtype=bool)
+    frontier = np.empty(0, dtype=np.int64)
     t = 0
-    while labeled < n:
-        new_centers = (
-            starts_df.filter(F.col("start") <= t)
-            .join(labels.select("v"), "v", "left_anti")
-            .select(F.col("v"), F.col("v").alias("center"), F.col("v").alias("parent"))
-        )
-        adopted = (
-            edges_df.join(frontier, edges_df.src == frontier.v)
-            .select(edges_df.dst.alias("v"), F.col("center"), edges_df.src.alias("parent"))
-        )
-        cand = new_centers.unionByName(adopted)
-        # priority tie-break: min (prio[center], center, parent)
-        cand = cand.join(starts_df.select(F.col("v").alias("center"), F.col("prio")), "center")
-        new = (
-            cand.join(labels.select("v"), "v", "left_anti")
-            .groupBy("v")
-            .agg(F.min(F.struct("prio", "center", "parent")).alias("s"))
-            .select("v", F.col("s.center").alias("center"), F.col("s.parent").alias("parent"))
-            .localCheckpoint()
-        )
-        cnt = new.count()
-        if cnt == 0 and labeled < n:
-            # no growth and no new starts yet — jump to the next start time
-            t += 1
-            frontier = labels.limit(0).select("v", "center")
-            continue
-        labels = labels.unionByName(new).localCheckpoint()
-        frontier = new.select("v", "center")
-        labeled += cnt
+    while not labeled.all():
+        # candidates (v, prio[center], center, parent): unlabeled vertices due to
+        # start a cluster, then the frontier's unlabeled neighbours
+        woken = np.flatnonzero(~labeled & (start <= t))
+        cand = [(woken, prio[woken], woken, woken)]
+        if len(frontier):
+            fc = center[frontier]
+            reached = _edge_map(spark, edges_df, pd.DataFrame({"src": frontier, "prio": prio[fc], "center": fc}))
+            r = [reached[c].to_numpy(dtype=np.int64) for c in ("dst", "prio", "center", "src")]
+            keep = ~labeled[r[0]]
+            cand.append(tuple(a[keep] for a in r))
+        v, p, c, par = (np.concatenate(a) for a in zip(*cand))
+        # each vertex takes its min (prio[center], center, parent)
+        order = np.lexsort((par, c, p, v))
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = v[order[1:]] != v[order[:-1]]
+        win = order[first]
+        frontier = v[win]
+        center[frontier], parent[frontier], labeled[frontier] = c[win], par[win], True
         t += 1
-    return labels, t
+    return pd.DataFrame({"v": np.arange(n, dtype=np.int64), "center": center, "parent": parent}), t

@@ -295,7 +295,7 @@ def table8(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
     rows = []
     for name in suite.GRAPH_NAMES:
         g = suite.get(name, scale)
-        edges = g.df(spark).localCheckpoint()
+        edges = g.df(spark)
         _, map_t = map_edges(edges)
         _, gather_t = gather_edges(spark, edges, g.n)
         _, info_ns = connectivity(spark, g, "none", "uf-rem-cas")

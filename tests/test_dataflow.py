@@ -21,8 +21,8 @@ def grid_edges(spark, grid):
 
 
 def test_bfs_distances(spark, grid, grid_edges):
-    tree, rounds = bfs_tree(spark, grid_edges, 0)
-    pdf = tree.toPandas().sort_values("v")
+    tree, rounds = bfs_tree(spark, grid_edges, grid.n, 0)
+    pdf = tree.sort_values("v")
     indptr, indices = grid.csr()
     dist = bfs_levels(indptr, indices, 0)
     assert np.array_equal(pdf["v"].to_numpy(), np.arange(grid.n))
@@ -31,30 +31,37 @@ def test_bfs_distances(spark, grid, grid_edges):
 
 
 def test_bfs_tree_parents_are_edges(spark, grid, grid_edges):
-    tree, _ = bfs_tree(spark, grid_edges, 5)
+    tree, _ = bfs_tree(spark, grid_edges, grid.n, 5)
     pairs = set(zip(grid.src.tolist(), grid.dst.tolist()))
-    for v, p in tree.select("v", "parent").toPandas().to_numpy():
+    for v, p in tree[["v", "parent"]].to_numpy():
         assert v == p or (p, v) in pairs
 
 
 def test_bfs_partial_component(spark):
     g = gen.disjoint_union("m", [gen.path_graph(5), gen.cycle(6)])
     e = g.df(spark)
-    tree, _ = bfs_tree(spark, e, 0)
-    vs = set(tree.toPandas()["v"].tolist())
+    tree, _ = bfs_tree(spark, e, g.n, 0)
+    vs = set(tree["v"].tolist())
     assert vs == {0, 1, 2, 3, 4}
 
 
 def test_bfs_max_rounds(spark):
     g = gen.path_graph(10)
-    tree, rounds = bfs_tree(spark, g.df(spark), 0, max_rounds=3)
+    tree, rounds = bfs_tree(spark, g.df(spark), g.n, 0, max_rounds=3)
     assert rounds == 3
-    assert tree.count() == 4
+    assert len(tree) == 4
+
+
+@pytest.mark.parametrize("source", [-1, 10])
+def test_bfs_rejects_bad_source(spark, source):
+    g = gen.path_graph(10)
+    with pytest.raises(ValueError):
+        bfs_tree(spark, g.df(spark), g.n, source)
 
 
 def test_ldd_covers_and_is_partial_labeling(spark, grid, grid_edges):
     lab, rounds = ldd_labels(spark, grid_edges, grid.n, beta=0.4, seed=2)
-    pdf = lab.toPandas().sort_values("v")
+    pdf = lab.sort_values("v")
     assert len(pdf) == grid.n
     truth = canonicalize(cc_labels(grid.n, grid.src, grid.dst))
     for center, vs in pdf.groupby("center")["v"]:
@@ -64,14 +71,13 @@ def test_ldd_covers_and_is_partial_labeling(spark, grid, grid_edges):
 def test_ldd_parents_are_edges(spark, grid, grid_edges):
     lab, _ = ldd_labels(spark, grid_edges, grid.n, beta=0.3, seed=3)
     pairs = set(zip(grid.src.tolist(), grid.dst.tolist()))
-    for v, c, p in lab.toPandas()[["v", "center", "parent"]].to_numpy():
+    for v, c, p in lab[["v", "center", "parent"]].to_numpy():
         assert v == p or (p, v) in pairs
 
 
 def test_ldd_multi_component(spark):
     g = gen.disjoint_union("m", [gen.path_graph(6), gen.star(5)])
-    lab, _ = ldd_labels(spark, g.df(spark), g.n, beta=0.5, seed=1)
-    pdf = lab.toPandas()
+    pdf, _ = ldd_labels(spark, g.df(spark), g.n, beta=0.5, seed=1)
     assert len(pdf) == g.n
     # no cluster crosses the component boundary
     truth = canonicalize(cc_labels(g.n, g.src, g.dst))
@@ -86,4 +92,26 @@ def test_ldd_beta_controls_fragmentation(spark):
     e = g.df(spark).localCheckpoint()
     lo, _ = ldd_labels(spark, e, g.n, beta=0.05, seed=4)
     hi, _ = ldd_labels(spark, e, g.n, beta=0.9, seed=4)
-    assert hi.select("center").distinct().count() > lo.select("center").distinct().count()
+    assert hi["center"].nunique() > lo["center"].nunique()
+
+
+def _jobs(spark) -> int:
+    return spark.sparkContext._jsc.sc().dagScheduler().numTotalJobs()
+
+
+def test_bfs_jobs_per_round(spark):
+    """Each BFS round, the terminating one included, is one edgeMap: at most
+    3 Spark jobs (broadcast, aggregation exchange, collect)."""
+    g = gen.path_graph(12)
+    e = g.df(spark)
+    j0 = _jobs(spark)
+    _, rounds = bfs_tree(spark, e, g.n, 0)
+    assert rounds == 11
+    assert _jobs(spark) - j0 <= 3 * (rounds + 1)
+
+
+def test_ldd_jobs_per_round(spark, grid, grid_edges):
+    """Each LDD round runs at most one edgeMap (none when its frontier is empty)."""
+    j0 = _jobs(spark)
+    _, rounds = ldd_labels(spark, grid_edges, grid.n, beta=0.4, seed=2)
+    assert _jobs(spark) - j0 <= 3 * rounds

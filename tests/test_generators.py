@@ -138,6 +138,17 @@ def test_from_pairs_rejects_bad_ids(src, dst):
         gen.from_pairs("x", 3, src, dst)
 
 
+@pytest.mark.parametrize(
+    "src, dst",
+    [([0], [-1]), ([0], [5]), ([0.0], [1.9]), ([0, 1], [1])],
+    ids=["negative", "out-of-range", "float", "unequal-length"],
+)
+def test_graph_rejects_bad_ids(src, dst):
+    """Direct construction (as in ``disjoint_union``) is checked too."""
+    with pytest.raises(ValueError):
+        gen.Graph("x", 3, np.asarray(src), np.asarray(dst))
+
+
 @pytest.mark.parametrize("name", suite.GRAPH_NAMES)
 def test_suite_builds(name):
     g = suite.get(name, "test")
@@ -161,8 +172,22 @@ def test_df_memoized_per_session(spark):
     g = gen.grid(3, 4)
     d = g.df(spark)
     assert g.df(spark) is d
+    # materialized: the plan points at stored rows, not at a local table
+    # whose rows would be serialized into every query's tasks
+    assert d._jdf.queryExecution().logical().nodeName() == "LogicalRDD"
     other = spark.newSession()
     d2 = g.df(other)
     assert d2 is not d and d2.sparkSession is other
     rows = sorted((r.src, r.dst) for r in d2.collect())
     assert rows == sorted(zip(g.src.tolist(), g.dst.tolist()))
+
+
+def test_edge_frame_partitions(spark, monkeypatch):
+    """One partition per 2^20 rows, at least one and at most one per core; rows kept in order."""
+    g = gen.grid(4, 5)
+    d = gen.edge_frame(spark, g.src, g.dst)
+    assert d.rdd.getNumPartitions() == 1
+    assert [(r.src, r.dst) for r in d.collect()] == list(zip(g.src.tolist(), g.dst.tolist()))
+    monkeypatch.setattr(gen, "_ROWS_PER_PARTITION", 8)
+    cores = spark.sparkContext.defaultParallelism
+    assert gen.edge_frame(spark, g.src, g.dst).rdd.getNumPartitions() == min(cores, g.m_directed // 8)
