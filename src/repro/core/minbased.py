@@ -1,15 +1,21 @@
-"""Other min-based finish methods as iterative Catalyst dataflow programs.
+"""Other min-based finish methods over a driver-held parents array.
 
 Implements the full Liu-Tarjan framework (all 16 rule combinations of
 Appendix D.4), Stergiou's two-array algorithm, Shiloach-Vishkin, and
-Label-Propagation. Each synchronous round is a set of joins and min
-aggregations over a parents DataFrame — the MPC setting these algorithms
-were designed for maps directly onto Spark's bulk-synchronous shuffles.
+Label-Propagation. Every candidate rule of these algorithms is a per-vertex
+minimum over neighbours, so each synchronous round is one ``_edge_map`` over
+the edge table (the dataflow analog of Ligra's edgeMap) and nothing else
+touches Spark. The parents array P has n entries and lives on the driver as
+numpy, as the BFS and LDD frontiers do: writeMin, RootUp, shortcutting and the
+stop test run there, while the m edges never move.
 
-All functions take a symmetric edges DataFrame over vertices [0, n) and
-return ``(labels ndarray, rounds)``. Sampling composes via contraction in
-``repro.core.framework`` (Theorem 5): the frequent component becomes
-contracted vertex 0, the smallest possible ID, so it is never relabeled.
+All functions take a *symmetric* edges DataFrame over vertices [0, n): every
+edge (u, v) is also present as (v, u). Symmetry lets a candidate pair of an
+edge (s, d) be computed at d from d's minimum neighbour payload. An endpoint
+outside [0, n) raises ValueError. Each returns ``(labels ndarray, rounds)``.
+Sampling composes via contraction in ``repro.core.framework`` (Theorem 5):
+the frequent component becomes contracted vertex 0, the smallest possible ID,
+so it is never relabeled.
 """
 from __future__ import annotations
 
@@ -17,8 +23,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import Column, DataFrame, SparkSession
-from pyspark.sql import functions as F
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
+
+from repro.dataflow.edgemap import _edge_map
 
 MAX_ROUNDS = 500
 
@@ -55,57 +63,42 @@ class LTSpec:
         return cls(connect, root_up, shortcut, alter)
 
 
-def _with_parents(E: DataFrame, P: DataFrame) -> DataFrame:
-    """E's rows with the current parent of each endpoint as ``ps`` / ``pd``."""
-    Ps = P.select(F.col("v").alias("sv"), F.col("p").alias("ps"))
-    Pd = P.select(F.col("v").alias("dv"), F.col("p").alias("pd"))
-    return E.join(Ps, E.src == F.col("sv")).join(Pd, E.dst == F.col("dv"))
+def _neighbour_min(
+    spark: SparkSession, E: DataFrame, n: int, payload: np.ndarray, src: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, m)``: every vertex d adjacent to ``src`` (default: every vertex)
+    and the minimum ``payload`` over its neighbours in ``src``."""
+    src = np.arange(n, dtype=np.int64) if src is None else src
+    r = _edge_map(spark, E, n, pd.DataFrame({"src": src, "c": payload}))
+    return r["dst"].to_numpy(dtype=np.int64), r["c"].to_numpy(dtype=np.int64)
 
 
-def _min_update(P: DataFrame, cand: DataFrame, extra: Column | None = None) -> DataFrame:
-    """writeMin: P[x] ← min(P[x], min c over the (x, c) candidates), only where
-    ``extra`` holds; ``chg`` marks the rows it lowered."""
-    agg = cand.groupBy("x").agg(F.min("c").alias("c"))
-    upd = F.col("c").isNotNull() & (F.col("c") < F.col("p"))
-    if extra is not None:
-        upd = upd & extra
-    joined = P.join(agg, P.v == agg.x, "left")
-    return joined.select("v", F.when(upd, F.col("c")).otherwise(F.col("p")).alias("p"), upd.alias("chg"))
+def _write_min(P: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """writeMin: a copy of P with P[x] ← min(P[x], c) for every pair."""
+    P = P.copy()
+    np.minimum.at(P, x, c)
+    return P
 
 
-def _shortcut_once(P: DataFrame) -> DataFrame:
-    """P[v] ← P[P[v]] for all v, synchronously; ``moved`` marks the rows this
-    step lowered and is ORed into ``chg``."""
-    Pp = P.select(F.col("v").alias("w"), F.col("p").alias("gp"))
-    moved = F.col("gp") != F.col("p")
-    return P.join(Pp, P.p == Pp.w).select(
-        "v", F.col("gp").alias("p"), (F.col("chg") | moved).alias("chg"), moved.alias("moved")
-    )
-
-
-def _full_shortcut(P: DataFrame) -> DataFrame:
-    """Shortcut until no row moves."""
-    while True:
-        P = _shortcut_once(P).localCheckpoint()
-        if P.filter("moved").isEmpty():
-            return P
+def _full_shortcut(P: np.ndarray) -> np.ndarray:
+    """P ← P[P] until no entry moves."""
+    while not np.array_equal(Q := P[P], P):
+        P = Q
+    return P
 
 
 def _iterate(
-    spark: SparkSession, n: int, step: Callable[[DataFrame], DataFrame], name: str, budget: int = MAX_ROUNDS
+    n: int, step: Callable[[np.ndarray], np.ndarray], name: str, budget: int = MAX_ROUNDS
 ) -> tuple[np.ndarray, int]:
     """Run synchronous rounds ``P = step(P)`` from the identity labeling until
-    no row's ``chg`` flag is set. Labels only decrease and P[v] ≤ v holds
-    throughout, so a set flag is exactly a label that differs from the
-    round's start. Returns ``(labels, rounds)``."""
-    P = spark.range(n).select(F.col("id").alias("v"), F.col("id").alias("p"), F.lit(True).alias("chg"))
+    a round leaves P as it found it. Labels only decrease and P[v] ≤ v holds
+    throughout, so any writeMin or shortcut that moved a label shows in P.
+    ``step`` returns a new array. Returns ``(labels, rounds)``."""
+    P = np.arange(n, dtype=np.int64)
     for rounds in range(1, budget + 1):
-        P = step(P).localCheckpoint()
-        if P.filter("chg").isEmpty():
-            out = np.arange(n, dtype=np.int64)
-            pdf = P.select("v", "p").toPandas()
-            out[pdf["v"].to_numpy()] = pdf["p"].to_numpy()
-            return out, rounds
+        start, P = P, step(P)
+        if np.array_equal(P, start):
+            return P, rounds
     raise RuntimeError(f"{name} exceeded {budget} rounds")
 
 
@@ -115,75 +108,75 @@ def liu_tarjan(
     """Run one Liu-Tarjan variant to convergence."""
     if isinstance(spec, str):
         spec = LTSpec.from_code(spec)
-    E = edges_df
+    # Alter rewrites edge (s, d) to (f[s], f[d]) with f the composition of
+    # every round-start P so far; f stays the identity without Alter. The
+    # self-loops and duplicates Alter drops never change a writeMin.
+    f = np.arange(n, dtype=np.int64)
 
-    def step(P: DataFrame) -> DataFrame:
-        nonlocal E
+    def step(P: np.ndarray) -> np.ndarray:
+        nonlocal f
         if spec.alter:
-            # Alter: rewrite edge endpoints to the labels the previous round
-            # left (the identity in round 1, where it only drops duplicates).
-            E = (
-                _with_parents(E, P)
-                .select(F.col("ps").alias("src"), F.col("pd").alias("dst"))
-                .filter(F.col("src") != F.col("dst"))
-                .distinct()
-                .localCheckpoint()
-            )
+            f = P[f]
         if spec.connect == "connect":
             # Connect: the edge endpoints are candidates for each other
             # (requires Alter for correctness, as in Liu-Tarjan).
-            cand = E.select(F.col("src").alias("x"), F.col("dst").alias("c"))
+            d, m = _neighbour_min(spark, edges_df, n, f)
+            x = f[d]
         else:
             # ParentConnect: P[dst] is a candidate for P[src] — the update
             # lands at the *parent*, which under RootUp is the round-start
             # root once trees are flat (Liu-Tarjan's P-* algorithms).
-            both = _with_parents(E, P)
-            cand = both.select(F.col("ps").alias("x"), F.col("pd").alias("c"))
+            d, m = _neighbour_min(spark, edges_df, n, P[f])
+            x = P[f[d]]
             if spec.connect == "extended":  # P[dst] is also a candidate for src itself
-                cand = cand.unionByName(both.select(F.col("src").alias("x"), F.col("pd").alias("c")))
-        P = _min_update(P, cand, (F.col("p") == F.col("v")) if spec.root_up else None)
-        return _full_shortcut(P) if spec.shortcut == "full" else _shortcut_once(P)
+                x, m = np.concatenate([x, f[d]]), np.concatenate([m, m])
+        if spec.root_up:
+            keep = P[x] == x
+            x, m = x[keep], m[keep]
+        P = _write_min(P, x, m)
+        return _full_shortcut(P) if spec.shortcut == "full" else P[P]
 
-    return _iterate(spark, n, step, f"Liu-Tarjan {spec}")
+    return _iterate(n, step, f"Liu-Tarjan {spec}")
 
 
 def stergiou(spark: SparkSession, edges_df: DataFrame, n: int) -> tuple[np.ndarray, int]:
     """Stergiou et al.'s BSP algorithm: ParentConnect from a *previous* parents
     array, min-update into the current one, then Shortcut (paper B.2.5)."""
-    prev = None  # the parents array one round back; round 1 reads the identity
+    # the round-start P one round back; rounds 1 and 2 both read the identity
+    prev = np.arange(n, dtype=np.int64)
 
-    def step(P: DataFrame) -> DataFrame:
+    def step(P: np.ndarray) -> np.ndarray:
         nonlocal prev
-        old, prev = (P if prev is None else prev), P
-        prevd = old.select(F.col("v").alias("dv"), F.col("p").alias("dp"))
-        cand = edges_df.join(prevd, edges_df.dst == F.col("dv")).select(F.col("src").alias("x"), F.col("dp").alias("c"))
-        return _shortcut_once(_min_update(P, cand))
+        old, prev = prev, P
+        P = _write_min(P, *_neighbour_min(spark, edges_df, n, old))
+        return P[P]
 
-    return _iterate(spark, n, step, "Stergiou")
+    return _iterate(n, step, "Stergiou")
 
 
 def shiloach_vishkin(spark: SparkSession, edges_df: DataFrame, n: int) -> tuple[np.ndarray, int]:
     """Shiloach-Vishkin with writeMin hooks on round-start roots and full
     pointer jumping per round (paper Algorithm 15)."""
 
-    def step(P: DataFrame) -> DataFrame:
-        # hook the larger endpoint parent x onto the smaller c, if x is a root
-        lh = _with_parents(edges_df, P).select(
-            F.least("ps", "pd").alias("c"), F.greatest("ps", "pd").alias("x")
-        ).filter(F.col("c") != F.col("x"))
-        roots = P.filter(F.col("p") == F.col("v")).select(F.col("v").alias("rv"))
-        return _full_shortcut(_min_update(P, lh.join(roots, lh.x == F.col("rv"))))
+    def step(P: np.ndarray) -> np.ndarray:
+        # hook each endpoint parent x onto its smaller neighbour parent, if x is a root
+        d, m = _neighbour_min(spark, edges_df, n, P)
+        x = P[d]
+        hook = (m < x) & (P[x] == x)
+        return _full_shortcut(_write_min(P, x[hook], m[hook]))
 
-    return _iterate(spark, n, step, "SV")
+    return _iterate(n, step, "SV")
 
 
 def label_propagation(spark: SparkSession, edges_df: DataFrame, n: int) -> tuple[np.ndarray, int]:
     """Folklore frontier-based min label propagation ((min, min)-SpMV): only
     the vertices lowered last round (all of them in round 1) send labels."""
+    frontier = np.arange(n, dtype=np.int64)
 
-    def step(P: DataFrame) -> DataFrame:
-        frontier = P.filter("chg").select(F.col("v").alias("fv"), F.col("p").alias("fp"))
-        cand = edges_df.join(frontier, edges_df.src == F.col("fv"))
-        return _min_update(P, cand.select(F.col("dst").alias("x"), F.col("fp").alias("c")))
+    def step(P: np.ndarray) -> np.ndarray:
+        nonlocal frontier
+        Q = _write_min(P, *_neighbour_min(spark, edges_df, n, P[frontier], frontier))
+        frontier = np.flatnonzero(Q < P)
+        return Q
 
-    return _iterate(spark, n, step, "Label-Propagation", budget=10 * MAX_ROUNDS)
+    return _iterate(n, step, "Label-Propagation", budget=10 * MAX_ROUNDS)

@@ -6,7 +6,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 
-def _edge_map(spark: SparkSession, edges: DataFrame, frontier: pd.DataFrame) -> pd.DataFrame:
+def _edge_map(spark: SparkSession, edges: DataFrame, n: int, frontier: pd.DataFrame) -> pd.DataFrame:
     """For every ``dst`` adjacent to the frontier, its minimum frontier neighbour.
 
     ``frontier`` holds one row per frontier vertex: column ``src`` plus any
@@ -15,6 +15,11 @@ def _edge_map(spark: SparkSession, edges: DataFrame, frontier: pd.DataFrame) -> 
     lexicographically. Only the frontier is broadcast: the edge table stays
     where it is, and the query costs the broadcast, the aggregation (one
     exchange, none on a single-partition table) and the collect.
+
+    A returned ``dst`` outside ``[0, n)`` raises ValueError: callers index
+    driver arrays with it, where a negative id would wrap. On a symmetric
+    table every out-of-range endpoint of an edge with an in-range end shows
+    up here.
     """
     cols = [c for c in frontier.columns if c != "src"] + ["src"]
     best = (
@@ -22,5 +27,8 @@ def _edge_map(spark: SparkSession, edges: DataFrame, frontier: pd.DataFrame) -> 
         .groupBy("dst")
         .agg(F.min(F.struct(*cols)).alias("s"))
         .select("dst", *(F.col(f"s.{c}").alias(c) for c in cols))
-    )
-    return best.toPandas()
+    ).toPandas()
+    bad = best["dst"][(best["dst"] < 0) | (best["dst"] >= n)]
+    if len(bad):
+        raise ValueError(f"edge endpoint {bad.iloc[0]} outside [0, {n})")
+    return best

@@ -53,7 +53,7 @@ def ldd_labels(
         cand = [(woken, prio[woken], woken, woken)]
         if len(frontier):
             fc = center[frontier]
-            reached = _edge_map(spark, edges_df, pd.DataFrame({"src": frontier, "prio": prio[fc], "center": fc}))
+            reached = _edge_map(spark, edges_df, n, pd.DataFrame({"src": frontier, "prio": prio[fc], "center": fc}))
             r = [reached[c].to_numpy(dtype=np.int64) for c in ("dst", "prio", "center", "src")]
             keep = ~labeled[r[0]]
             cand.append(tuple(a[keep] for a in r))

@@ -15,6 +15,12 @@ def _quiet_small_shuffles(spark):
 
 
 @pytest.fixture(scope="session")
+def spark_jobs(spark):
+    """Number of Spark jobs submitted so far in the session (DAGScheduler.numTotalJobs)."""
+    return lambda: spark.sparkContext._jsc.sc().dagScheduler().numTotalJobs()
+
+
+@pytest.fixture(scope="session")
 def tiny_graphs():
     """A structurally diverse set of small graphs for correctness sweeps."""
     return [

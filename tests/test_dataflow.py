@@ -5,6 +5,7 @@ import pytest
 from repro.dataflow.bfs import bfs_tree
 from repro.dataflow.ldd import ldd_labels
 from repro.graphs import generators as gen
+from repro.graphs.generators import edge_frame
 from repro.graphs.ground_truth import bfs_levels, canonicalize, cc_labels
 
 
@@ -59,6 +60,14 @@ def test_bfs_rejects_bad_source(spark, source):
         bfs_tree(spark, g.df(spark), g.n, source)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_bfs_rejects_bad_edge_id(spark, bad):
+    """An edge endpoint outside [0, n) is an error, not a wrapped index."""
+    e = edge_frame(spark, np.array([0, bad]), np.array([bad, 0]))
+    with pytest.raises(ValueError, match="outside"):
+        bfs_tree(spark, e, 3, 0)
+
+
 def test_ldd_covers_and_is_partial_labeling(spark, grid, grid_edges):
     lab, rounds = ldd_labels(spark, grid_edges, grid.n, beta=0.4, seed=2)
     pdf = lab.sort_values("v")
@@ -85,6 +94,14 @@ def test_ldd_multi_component(spark):
         assert len(set(truth[vs.to_numpy()])) == 1
 
 
+@pytest.mark.parametrize("bad", [-1, 12])
+def test_ldd_rejects_bad_edge_id(spark, bad):
+    g = gen.path_graph(12)
+    e = edge_frame(spark, np.append(g.src, [5, bad]), np.append(g.dst, [bad, 5]))
+    with pytest.raises(ValueError, match="outside"):
+        ldd_labels(spark, e, g.n, beta=0.05, seed=1)
+
+
 def test_ldd_beta_controls_fragmentation(spark):
     """Higher β wakes more centers early → more clusters (in expectation);
     checked on a long path where growth is slow."""
@@ -95,23 +112,19 @@ def test_ldd_beta_controls_fragmentation(spark):
     assert hi["center"].nunique() > lo["center"].nunique()
 
 
-def _jobs(spark) -> int:
-    return spark.sparkContext._jsc.sc().dagScheduler().numTotalJobs()
-
-
-def test_bfs_jobs_per_round(spark):
+def test_bfs_jobs_per_round(spark, spark_jobs):
     """Each BFS round, the terminating one included, is one edgeMap: at most
     3 Spark jobs (broadcast, aggregation exchange, collect)."""
     g = gen.path_graph(12)
     e = g.df(spark)
-    j0 = _jobs(spark)
+    j0 = spark_jobs()
     _, rounds = bfs_tree(spark, e, g.n, 0)
     assert rounds == 11
-    assert _jobs(spark) - j0 <= 3 * (rounds + 1)
+    assert spark_jobs() - j0 <= 3 * (rounds + 1)
 
 
-def test_ldd_jobs_per_round(spark, grid, grid_edges):
+def test_ldd_jobs_per_round(spark, spark_jobs, grid, grid_edges):
     """Each LDD round runs at most one edgeMap (none when its frontier is empty)."""
-    j0 = _jobs(spark)
+    j0 = spark_jobs()
     _, rounds = ldd_labels(spark, grid_edges, grid.n, beta=0.4, seed=2)
-    assert _jobs(spark) - j0 <= 3 * rounds
+    assert spark_jobs() - j0 <= 3 * rounds

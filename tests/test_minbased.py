@@ -4,6 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.framework import _minbased_runner
 from repro.core.minbased import (
     LT_CODES,
     LTSpec,
@@ -13,6 +14,7 @@ from repro.core.minbased import (
     stergiou,
 )
 from repro.graphs import generators as gen
+from repro.graphs.generators import edge_frame
 from repro.graphs.ground_truth import cc_labels, same_partition
 from repro.oracle import assert_equivalent
 
@@ -116,3 +118,20 @@ def test_minbased_labels_via_oracle(spark, small_edges):
     got = spark.createDataFrame(pd.DataFrame({"v": np.arange(SMALL.n), "label": labels}))
     truth = pd.DataFrame({"v": np.arange(SMALL.n), "label": cc_labels(SMALL.n, SMALL.src, SMALL.dst)})
     assert_equivalent(got, "SELECT v, label FROM truth", truth=truth)
+
+
+@pytest.mark.parametrize("finish", ["sv", "stergiou", "labelprop", "lt-crfa", "lt-pus", "lt-euf"])
+def test_minbased_jobs_per_round(spark, spark_jobs, rmat_edges, finish):
+    """Each round is one edgeMap: at most 3 Spark jobs (broadcast, aggregation
+    exchange, collect); writeMin, shortcuts and the stop test run on the driver."""
+    j0 = spark_jobs()
+    _, rounds = _minbased_runner(finish)(spark, rmat_edges, RMAT.n)
+    assert spark_jobs() - j0 <= 3 * rounds
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_minbased_rejects_bad_edge_id(spark, bad):
+    """An edge endpoint outside [0, n) is an error, not a wrapped index or a dropped edge."""
+    e = edge_frame(spark, np.array([0, bad]), np.array([bad, 0]))
+    with pytest.raises(ValueError, match="outside"):
+        shiloach_vishkin(spark, e, 3)
