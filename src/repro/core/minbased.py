@@ -23,7 +23,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.dataflow.edgemap import _edge_map
@@ -69,8 +68,8 @@ def _neighbour_min(
     """``(d, m)``: every vertex d adjacent to ``src`` (default: every vertex)
     and the minimum ``payload`` over its neighbours in ``src``."""
     src = np.arange(n, dtype=np.int64) if src is None else src
-    r = _edge_map(spark, E, n, pd.DataFrame({"src": src, "c": payload}))
-    return r["dst"].to_numpy(dtype=np.int64), r["c"].to_numpy(dtype=np.int64)
+    d, m, _ = _edge_map(spark, E, n, src, payload)
+    return d, m
 
 
 def _write_min(P: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 All three schemes emit a *composable* labeling (Definition 3.1): height-1
 trees (every vertex points to itself or to a root) that are a valid partial
 connectivity labeling. k-out comes in the four variants of Appendix C.3
-(afforest / pure / hybrid / maxdeg); edge selection runs as Spark window
-queries, and the sampled components are contracted with a union-find
-algorithm. BFS and LDD sampling run on the dataflow kernels.
+(afforest / pure / hybrid / maxdeg); each selects its edges in one Spark
+query of per-vertex minima over packed int64 orders, and the sampled
+components are contracted with a union-find algorithm. BFS and LDD sampling
+run on the dataflow kernels.
 
 Each sampler returns a :class:`SampleResult` with the labeling, the partial
 spanning forest (Definition B.2), and the metrics reported in Tables 6/7:
@@ -14,11 +15,12 @@ inter-component edges remaining.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from pyspark.sql import SparkSession, Window
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.dataflow.bfs import bfs_tree
@@ -64,6 +66,30 @@ def identity_sample(g: Graph) -> SampleResult:
     return SampleResult(labels=np.arange(g.n, dtype=np.int64))
 
 
+def _pick_pairs(rows: DataFrame, picks: list[tuple[str, int]]) -> np.ndarray:
+    """The ``(src, dst)`` pairs of every pick, ordered by (pick, src, rank).
+
+    ``picks[i] = (order, j)`` takes the j smallest edges of each source under
+    ``order``, a SQL int64 expression that should be unique among a source's
+    edges (j = 0 takes none). All picks of one edge share one hash aggregate
+    (``min_by``); a pick of j >= 2 ranks every edge in a ``row_number``
+    window, since Spark has no top-j aggregate. Both kinds run as one query
+    and one collect.
+    """
+    single = [i for i, (_, j) in enumerate(picks) if j == 1]
+    parts = []
+    if single:
+        best = rows.groupBy("src").agg(*(F.expr(f"min_by(dst, {picks[i][0]}) AS p{i}") for i in single))
+        stack = ", ".join(f"{i}, src, 1, p{i}" for i in single)
+        parts.append(best.selectExpr(f"stack({len(single)}, {stack}) AS (pick, src, rank, dst)"))
+    for i, (order, j) in enumerate(picks):
+        if j > 1:
+            rank = f"row_number() OVER (PARTITION BY src ORDER BY {order}) AS rank"
+            parts.append(rows.selectExpr(f"{i} AS pick", "src", rank, "dst").where(f"rank <= {j}"))
+    p = functools.reduce(DataFrame.union, parts).toPandas().to_numpy(dtype=np.int64)
+    return p[np.lexsort((p[:, 2], p[:, 1], p[:, 0]))][:, [1, 3]]
+
+
 def kout_sample(
     spark: SparkSession,
     g: Graph,
@@ -81,35 +107,32 @@ def kout_sample(
     """
     if variant not in KOUT_VARIANTS:
         raise KeyError(f"unknown k-out variant {variant!r}; options: {KOUT_VARIANTS}")
+    if k < 1:
+        raise ValueError(f"k-out sampling needs k >= 1, got {k}")
     t0 = time.perf_counter()
-    edges = g.df(spark)
+    rows, n = g.df(spark), g.n
     # "First k edges" = the adjacency-list prefix. Under the suite's
     # locality-preserving vertex ids (web graphs: lexicographic URLs), the
     # stored prefix is dominated by nearby-id (same-domain) neighbors, so
     # the prefix is modeled as nearest-id-first — this is what reproduces
     # the kout-afforest pathology of Appendix C.3 on web orderings.
-    w_adj = Window.partitionBy("src").orderBy(F.abs(F.col("dst") - F.col("src")), "dst")
-    w_rand = Window.partitionBy("src").orderBy(F.xxhash64("src", "dst", F.lit(seed)))
+    # The adjacency and max-degree orders pack (criterion, dst) into one
+    # int64, unique among a source's edges, so their picks have no ties;
+    # dst < n keeps the packing exact.
+    adjacency = f"abs(dst - src) * {n} + dst"
+    rand = f"xxhash64(src, dst, {seed})"
     if variant == "afforest":
-        sel = edges.withColumn("rn", F.row_number().over(w_adj)).filter(F.col("rn") <= k)
+        picks = [(adjacency, k)]
     elif variant == "pure":
-        sel = edges.withColumn("rn", F.row_number().over(w_rand)).filter(F.col("rn") <= k)
-    else:
-        if variant == "hybrid":
-            first = edges.withColumn("rn", F.row_number().over(w_adj)).filter(F.col("rn") == 1)
-        else:  # maxdeg: the neighbor with the largest degree
-            deg = edges.groupBy(F.col("src").alias("dv")).agg(F.count("*").alias("deg"))
-            w_deg = Window.partitionBy("src").orderBy(F.desc("deg"), "dst")
-            first = (
-                edges.join(deg, edges.dst == F.col("dv"))
-                .withColumn("rn", F.row_number().over(w_deg))
-                .filter(F.col("rn") == 1)
-            )
-        rest = edges.withColumn("rn", F.row_number().over(w_rand)).filter(F.col("rn") <= k - 1)
-        sel = first.select("src", "dst").unionByName(rest.select("src", "dst"))
-    pdf = sel.select("src", "dst").toPandas()
-    pairs = pdf.to_numpy(dtype=np.int64)
-    labels, st = run_components(g.n, pairs, uf_spec or UFSpec("uf-rem-cas", "naive", "split-one"), record_forest=True)
+        picks = [(rand, k)]
+    elif variant == "hybrid":
+        picks = [(adjacency, 1), (rand, k - 1)]
+    else:  # maxdeg: the neighbor with the largest degree, ties to the smaller id
+        deg = rows.groupBy(F.col("src").alias("dv")).agg(F.count("*").alias("deg"))
+        rows = rows.join(deg, rows.dst == deg.dv)
+        picks = [(f"({n} - deg) * {n} + dst", 1), (rand, k - 1)]
+    pairs = _pick_pairs(rows, picks)
+    labels, st = run_components(n, pairs, uf_spec or UFSpec("uf-rem-cas", "naive", "split-one"), record_forest=True)
     # full compression already applied: labeling is height-1 (roots + leaves)
     return SampleResult(
         labels=labels,

@@ -37,8 +37,7 @@ def bfs_tree(
     frontier = np.array([source], dtype=np.int64)
     rounds = 0
     while max_rounds is None or rounds < max_rounds:
-        reached = _edge_map(spark, edges_df, n, pd.DataFrame({"src": frontier}))
-        dst, src = (reached[c].to_numpy(dtype=np.int64) for c in ("dst", "src"))
+        dst, _, src = _edge_map(spark, edges_df, n, frontier)
         new = dist[dst] < 0
         if not new.any():
             break

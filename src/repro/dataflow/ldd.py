@@ -40,6 +40,9 @@ def ldd_labels(
     # cluster-priority = center id, optionally permuted so vertex order and
     # tie-break order decouple (the `permute` knob of Appendix C.3)
     prio = g.permutation(n).astype(np.int64) if permute else np.arange(n, dtype=np.int64)
+    # prio is a permutation: a priority names its center, so the edgeMap's
+    # (prio, src) minimum is the (prio, center, src) one
+    by_prio = np.argsort(prio)
 
     center = np.full(n, -1, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
@@ -52,11 +55,9 @@ def ldd_labels(
         woken = np.flatnonzero(~labeled & (start <= t))
         cand = [(woken, prio[woken], woken, woken)]
         if len(frontier):
-            fc = center[frontier]
-            reached = _edge_map(spark, edges_df, n, pd.DataFrame({"src": frontier, "prio": prio[fc], "center": fc}))
-            r = [reached[c].to_numpy(dtype=np.int64) for c in ("dst", "prio", "center", "src")]
-            keep = ~labeled[r[0]]
-            cand.append(tuple(a[keep] for a in r))
+            d, p, par = _edge_map(spark, edges_df, n, frontier, prio[center[frontier]])
+            keep = ~labeled[d]
+            cand.append((d[keep], p[keep], by_prio[p[keep]], par[keep]))
         v, p, c, par = (np.concatenate(a) for a in zip(*cand))
         # each vertex takes its min (prio[center], center, parent)
         order = np.lexsort((par, c, p, v))

@@ -46,13 +46,15 @@ def edge_frame(spark: SparkSession, src: np.ndarray, dst: np.ndarray) -> DataFra
     ``createDataFrame`` alone plans a ``LocalTableScan`` that serializes every
     row into the tasks of each query reading it; ``localCheckpoint`` stores the
     rows once in the executors (eagerly) and leaves a plan that only points at
-    them. The table keeps one partition per 2^20 rows, at least one and at most
+    them. The schema is explicit, so an edgeless table needs no rows to infer
+    it from. The table keeps one partition per 2^20 rows, at least one and at most
     one per core: on a smaller table a task's fixed cost outweighs its share of
     a scan, and parallel tasks only crowd out the JVM's compiler and GC threads,
     which makes every query's time depend on how far the JVM has warmed up.
     """
     parts = max(1, min(spark.sparkContext.defaultParallelism, len(src) // _ROWS_PER_PARTITION))
-    return spark.createDataFrame(pd.DataFrame({"src": src, "dst": dst})).coalesce(parts).localCheckpoint()
+    pdf = pd.DataFrame({"src": src, "dst": dst})
+    return spark.createDataFrame(pdf, "src long, dst long").coalesce(parts).localCheckpoint()
 
 
 @dataclass

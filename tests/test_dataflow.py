@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.dataflow.bfs import bfs_tree
+from repro.dataflow.edgemap import _edge_map
 from repro.dataflow.ldd import ldd_labels
 from repro.graphs import generators as gen
 from repro.graphs.generators import edge_frame
@@ -66,6 +67,34 @@ def test_bfs_rejects_bad_edge_id(spark, bad):
     e = edge_frame(spark, np.array([0, bad]), np.array([bad, 0]))
     with pytest.raises(ValueError, match="outside"):
         bfs_tree(spark, e, 3, 0)
+
+
+def test_edge_map_packs_key_and_src(spark):
+    """The packed minimum equals the lexicographic (key, src) one, up to key = src = n - 1."""
+    n = 5
+    src = np.array([4, 2, 0, 3, 2, 4, 1, 3])
+    dst = np.array([0, 0, 1, 1, 2, 3, 3, 4])
+    frontier, key = np.array([0, 2, 3, 4]), np.array([4, 4, 1, 4])
+    d, k, s = _edge_map(spark, edge_frame(spark, src, dst), n, frontier, key)
+    key_of = np.full(n, -1)
+    key_of[frontier] = key
+    on = key_of[src] >= 0
+    es, ed = src[on], dst[on]
+    order = np.lexsort((es, key_of[es], ed))
+    first = order[np.r_[True, ed[order][1:] != ed[order][:-1]]]
+    got = np.argsort(d)
+    assert np.array_equal(d[got], ed[first])
+    assert np.array_equal(k[got], key_of[es[first]])
+    assert np.array_equal(s[got], es[first])
+    # dst 1: the smaller key beats the smaller src; dst 3: key = src = n - 1
+    assert (k[got[1]], s[got[1]]) == (1, 3) and (k[got[3]], s[got[3]]) == (4, 4)
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_edge_map_rejects_bad_key(spark, bad):
+    e = edge_frame(spark, np.array([0, 1]), np.array([1, 0]))
+    with pytest.raises(ValueError, match="key"):
+        _edge_map(spark, e, 5, np.array([0, 1]), np.array([0, bad]))
 
 
 def test_ldd_covers_and_is_partial_labeling(spark, grid, grid_edges):

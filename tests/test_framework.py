@@ -6,12 +6,14 @@ import pytest
 from repro.core.framework import (
     ALL_FINISHES,
     MINBASED_FINISHES,
+    SAMPLINGS,
     UF_FINISHES,
     connectivity,
     finish_with_sample,
     identify_frequent,
     run_sampling,
 )
+from repro.graphs import generators as gen
 from repro.graphs import suite
 from repro.graphs.ground_truth import canonicalize, cc_labels, same_partition
 from repro.oracle import assert_equivalent
@@ -19,6 +21,7 @@ from repro.unionfind import UFSpec
 
 G = suite.get("CW", "test")
 TRUTH = canonicalize(cc_labels(G.n, G.src, G.dst))
+EMPTY = gen.from_pairs("empty", 5, [], [])
 
 # one cached sample per scheme, shared across the finish matrix (like the
 # harness and the paper's framework)
@@ -42,6 +45,14 @@ def test_matrix(spark, scheme_sample, finish):
     labels, info = finish_with_sample(spark, G, sample, finish, sampling=scheme)
     assert same_partition(labels, TRUTH), (scheme, finish)
     assert info["finish_time_s"] >= 0
+
+
+@pytest.mark.parametrize("finish", FINISHES)
+@pytest.mark.parametrize("scheme", SAMPLINGS)
+def test_matrix_edgeless(spark, scheme, finish):
+    """Vertices but no edges: every vertex is its own component."""
+    labels, _ = connectivity(spark, EMPTY, scheme, finish)
+    assert np.array_equal(labels, np.arange(EMPTY.n))
 
 
 def test_identify_frequent():

@@ -182,6 +182,13 @@ def test_df_memoized_per_session(spark):
     assert rows == sorted(zip(g.src.tolist(), g.dst.tolist()))
 
 
+def test_df_edgeless(spark):
+    """A graph with vertices but no edges has an empty, typed edge table."""
+    d = gen.from_pairs("empty", 5, [], []).df(spark)
+    assert d.count() == 0
+    assert d.schema.simpleString() == "struct<src:bigint,dst:bigint>"
+
+
 def test_edge_frame_partitions(spark, monkeypatch):
     """One partition per 2^20 rows, at least one and at most one per core; rows kept in order."""
     g = gen.grid(4, 5)

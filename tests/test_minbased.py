@@ -129,6 +129,14 @@ def test_minbased_jobs_per_round(spark, spark_jobs, rmat_edges, finish):
     assert spark_jobs() - j0 <= 3 * rounds
 
 
+@pytest.mark.parametrize("finish", ["sv", "stergiou", "labelprop", "lt-crfa", "lt-pus", "lt-euf"])
+def test_minbased_edgeless(spark, finish):
+    """A table with no edges leaves every vertex its own component after one round."""
+    none = np.empty(0, dtype=np.int64)
+    labels, rounds = _minbased_runner(finish)(spark, edge_frame(spark, none, none), 5)
+    assert np.array_equal(labels, np.arange(5)) and rounds == 1
+
+
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_minbased_rejects_bad_edge_id(spark, bad):
     """An edge endpoint outside [0, n) is an error, not a wrapped index or a dropped edge."""

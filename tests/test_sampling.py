@@ -1,8 +1,11 @@
 """Sampling methods: composability (Definition 3.1), forest validity
 (Definition B.2), and the quality metrics of Tables 6/7."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core import sampling
 from repro.core.sampling import (
     KOUT_VARIANTS,
     bfs_sample,
@@ -82,6 +85,70 @@ def test_kout_hybrid_beats_afforest_on_web_ordering(spark):
 def test_kout_unknown_variant(spark, cw):
     with pytest.raises(KeyError):
         kout_sample(spark, cw, variant="bogus")
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_kout_rejects_bad_k(spark, cw, k):
+    with pytest.raises(ValueError, match="k >= 1"):
+        kout_sample(spark, cw, k=k)
+
+
+# SHA-256 of the int64 pairs in the order the union-find consumed them, then the
+# forest in its returned order, then the labels; captured from the window-query
+# selection (one row_number window per order, collected from one partition).
+KOUT_GOLDENS = {  # (graph, variant, k)
+    ("CW", "afforest", 1): "722d2a88241e6e1ccc0b955461472ea71b56bd5fc40479c4eb8e7265a77e01b5",
+    ("CW", "afforest", 2): "610702b8157c8916e0d228a9e22f890ebdcf1ec671f57ab2b131d4d71dcfa278",
+    ("CW", "afforest", 3): "752a081ff139e2b92bccce2ead41fe1bcbdef793dfcda1cb8d9ab6292f8ad93c",
+    ("CW", "hybrid", 1): "722d2a88241e6e1ccc0b955461472ea71b56bd5fc40479c4eb8e7265a77e01b5",
+    ("CW", "hybrid", 2): "a12ae6d29edfe168c4d35747d118c9d68c49a65ad42a606ebd9489ddb7b05cc4",
+    ("CW", "hybrid", 3): "e43d5dd7371dbbd38edd8d92b8f15b0ded663586f65441abb1351862fe3d6793",
+    ("CW", "maxdeg", 1): "5279be3b9f21e434c36997ea1b86900dca0cc08a275568e6920058bdc10ddd1c",
+    ("CW", "maxdeg", 2): "9ff3881d2a30655fb4701c79b85efffe102d1365d68fece1d94a4e55a6870f1c",
+    ("CW", "maxdeg", 3): "9ad47f2706f2637cdc7e118a7e995a0d5648c8f7dd6f2639ef1b560c6eb46c60",
+    ("CW", "pure", 1): "7b55d2d5bb3b0b803936ec159a6ab138081564543819f7670bad01da6ee08c2c",
+    ("CW", "pure", 2): "c7370ae4be4f6ee0c23b6a7197e62c802f51898610a284bcc52bbe84e1c27ed2",
+    ("CW", "pure", 3): "a4555d7420302660c84ea1169f32608dfaf5f2cdc9be78e354fb25ebe448c187",
+    ("RO", "afforest", 1): "31576e4a79f8e6e760ddca5110ae6355e388f1de0a30ddc585c25288ea248473",
+    ("RO", "afforest", 2): "74f5be60695d207eda197aafd8ce3797992cdd5e450247f56134ff0c3dec0478",
+    ("RO", "afforest", 3): "5f42485c18ee90a64063f4dd0cb25a95619def183afa7f102ee2e0f301f4efd2",
+    ("RO", "hybrid", 1): "31576e4a79f8e6e760ddca5110ae6355e388f1de0a30ddc585c25288ea248473",
+    ("RO", "hybrid", 2): "58c5f31dd332dfd534e04d586524bb60e21d5591e8d3b33ca244d4aa281f7543",
+    ("RO", "hybrid", 3): "170d7d9b6f5f45b0f5d2a22e88e3f6b91e817c86326db164a448fc9a3f124dbb",
+    ("RO", "maxdeg", 1): "556368bff4db3c84aaa7b71131c251bcc947119ed4e09bd9e355321c9d8de0a1",
+    ("RO", "maxdeg", 2): "08d19be5c2aac8a181ee252bdd9d1ced2b3d06fd706603d69c8710fc7f502e15",
+    ("RO", "maxdeg", 3): "2a786814bec08fde914b601ff7bd6439779955d96ca68eb22fa0622ca658277a",
+    ("RO", "pure", 1): "b1bad25bf2bc6d04241719ff8f9eb2f291111eb29bb6344807aa15da64b52a6e",
+    ("RO", "pure", 2): "326892c337fdd946e358616fb542b34972088f499932f10ab26e7da958608058",
+    ("RO", "pure", 3): "a742bcda704110222ac01c69e7d472758b2ba36e57c64e46f47a565096ad0247",
+}
+
+
+@pytest.mark.parametrize("graph", ["CW", "RO"])
+@pytest.mark.parametrize("variant", KOUT_VARIANTS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kout_goldens(spark, monkeypatch, graph, variant, k):
+    g = suite.get(graph, "test")
+    seen, run_components = [], sampling.run_components
+
+    def record(n, pairs, *args, **kwargs):
+        seen.append(np.asarray(pairs, dtype=np.int64))
+        return run_components(n, pairs, *args, **kwargs)
+
+    monkeypatch.setattr(sampling, "run_components", record)
+    s = kout_sample(spark, g, k=k, variant=variant)
+    h = hashlib.sha256(seen[0].tobytes())
+    h.update(np.array(s.forest, dtype=np.int64).tobytes())
+    h.update(s.labels.astype(np.int64).tobytes())
+    assert h.hexdigest() == KOUT_GOLDENS[(graph, variant, k)]
+
+
+def test_kout_one_spark_job(spark, spark_jobs, cw):
+    """Selection and collect are one Spark query, one job."""
+    cw.df(spark)
+    j0 = spark_jobs()
+    kout_sample(spark, cw, k=2, variant="hybrid")
+    assert spark_jobs() - j0 == 1
 
 
 def test_bfs_sample_composable(spark, cw, cw_truth):
