@@ -12,6 +12,11 @@ Three algorithm types, as in the paper:
   rounds over the batch's edges against the parents array.
 - Type 3 — Rem's algorithms with SpliceAtomic: phase-concurrent; the batch is
   split into an update phase followed by a query phase.
+
+Like the paper's one parallel pass over a batch's updates and one over its
+queries, each batch is one kernel call per half: the variant's
+``union(pairs)`` (or the Type 2 rounds) over the updates, then
+``connected(pairs)`` over the queries, with the counters updated once per call.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import numpy as np
 
 from repro.unionfind import UFSpec, UFState, make_union
 from repro.unionfind.core import READS, UNIONS, WRITES, as_edges
-from repro.unionfind.finds import make_find
+from repro.unionfind.finds import make_connected
 
 
 class StreamingConnectIt:
@@ -45,7 +50,7 @@ class StreamingConnectIt:
             self.state = UFState(n)
         else:
             raise KeyError(f"unknown streaming algorithm {algorithm!r}")
-        self._find = make_find("naive", self.state)
+        self._connected = make_connected(self.state)
 
     # -- operations --------------------------------------------------------
     def insert(self, u: int, v: int) -> None:
@@ -62,19 +67,16 @@ class StreamingConnectIt:
         Type 1 interleaves updates and queries (any serialization is a valid
         linearization w.r.t. the batch start, per B.4's correctness notion);
         Types 2 and 3 apply all updates first, then answer queries. Every
-        type answers queries with the kernel's naive find.
+        type answers queries with ``connected``: two naive finds per query.
         """
         updates = as_edges(updates, self.n)
         queries = as_edges([] if queries is None else queries, self.n)
         if self.type == 2:
             self._batch_rounds(updates)
+            self.state.c.a[UNIONS] += len(updates)
         else:
-            union = self._union
-            for u, v in updates.tolist():
-                union(u, v)
-        self.state.c.a[UNIONS] += len(updates)
-        find = self._find
-        return np.array([find(a) == find(b) for a, b in queries.tolist()], dtype=bool)
+            self._union(updates.tolist())
+        return np.array(self._connected(queries.tolist()), dtype=bool)
 
     def labels(self) -> np.ndarray:
         return self.state.compress_all()

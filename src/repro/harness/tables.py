@@ -35,10 +35,17 @@ _SAMPLE_CACHE: dict[tuple, tuple] = {}
 
 
 def cached_sample(spark: SparkSession, name: str, scheme: str, scale: str):
-    """One sampling pass per (graph, scheme, scale), shared across finishes."""
+    """One sampling pass per (graph, scheme, scale), shared across finishes.
+
+    The time is of a warm pass. The graph's edge table is built first, and one
+    untimed pass warms up the JVM (on the first graph) and the query's code
+    paths; sampling is seeded, so the timed pass returns the same sample.
+    """
     key = (name, scheme, scale)
     if key not in _SAMPLE_CACHE:
         g = suite.get(name, scale)
+        g.df(spark)
+        run_sampling(spark, g, scheme)
         t0 = time.perf_counter()
         sample = run_sampling(spark, g, scheme)
         _SAMPLE_CACHE[key] = (sample, time.perf_counter() - t0)
@@ -199,7 +206,8 @@ STREAM_ALGOS = {
 def table4(
     spark: SparkSession, scale: str = "mini", graphs: tuple[str, ...] | None = None
 ) -> pd.DataFrame:
-    """Maximum streaming throughput: the whole graph as one COO batch."""
+    """Maximum streaming throughput: the whole graph as one COO batch, with
+    the parent reads per update as its deterministic work count."""
     names = graphs or tuple(suite.GRAPH_NAMES) + ("RM", "BA")
     rows = []
     for name in names:
@@ -211,10 +219,12 @@ def table4(
             t0 = time.perf_counter()
             s.process_batch(edges)
             dt = time.perf_counter() - t0
+            reads = s.state.c.as_dict()["parent_reads"]
             assert same_partition(canonicalize(s.labels()), truth), (name, algname)
             rows.append(
                 {"graph": name, "algorithm": algname, "updates": len(edges),
-                 "time_s": dt, "updates_per_s": len(edges) / dt}
+                 "time_s": dt, "updates_per_s": len(edges) / dt,
+                 "reads_per_update": reads / len(edges)}
             )
     return pd.DataFrame(rows)
 

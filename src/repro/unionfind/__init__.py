@@ -4,10 +4,13 @@ The paper's algorithms are written against a shared parents array with atomic
 compare-and-swap. This package reproduces them as deterministic executions of
 the *same code paths* over a parents array kept as a plain Python list for the
 life of a :class:`UFState`, with a modelled CAS and exact instrumentation
-(parent reads/writes, CAS attempts/failures, total/max path length). Each
-find, splice and union adds up its counts in local variables and adds them to
-the counters once, when it returns; numpy arrays appear only at the edges
-(``run_components`` input, ``UFState.compress_all`` output). Vertex ids are
+(parent reads/writes, CAS attempts/failures, total/max path length). The
+unit of work of a union or a query is one batch: ``make_union`` builds
+``union(pairs)`` and ``finds.make_connected`` builds ``connected(pairs)``, each
+one loop over its pairs that adds its counts up in local variables and adds
+them to the counters once per call; finds and splices stay per-element and
+count the same way. Numpy arrays appear only at the edges (``run_components``
+input, ``UFState.compress_all`` output). Vertex ids are
 validated once per batch at that boundary (``as_edges``). Scheduling
 nondeterminism is exercised in tests by permuting the operation order — the
 observable effect of interleavings for these linearizably-monotone algorithms.

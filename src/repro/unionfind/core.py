@@ -164,7 +164,5 @@ def run_components(
         init = np.asarray(labels, dtype=np.int64)
         edges = edges[init[edges[:, 0]] != skip_label]
     # tolist() once: iterating numpy rows costs ~5x more per edge
-    for u, v in edges.tolist():
-        union(u, v)
-    st.c.a[UNIONS] += len(edges)
+    union(edges.tolist())
     return st.compress_all(), st

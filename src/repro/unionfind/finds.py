@@ -1,10 +1,13 @@
-"""Find implementations (paper Algorithm 8 + UF-JTB's two-try split).
+"""Find implementations (paper Algorithm 8 + UF-JTB's two-try split) and the
+batched ``IsConnected`` query.
 
-Each factory returns ``find(u) -> root`` as a closure over the state's
+``make_find`` returns ``find(u) -> root`` as a closure over the state's
 parents list, so the hot loop pays only local-variable lookups. A find adds
 up its parent reads/writes, CAS attempts and path length in local variables
 and adds them to the counters once, when it returns (TPL/MPL
-instrumentation, §4.1.1).
+instrumentation, §4.1.1). ``make_connected`` answers a whole batch of
+queries in one loop and counts once per batch, exactly as two naive finds
+per query would.
 """
 from __future__ import annotations
 
@@ -94,3 +97,46 @@ def make_find(name: str, st: UFState):
     if name not in table:
         raise KeyError(f"unknown find option {name!r}; options: {sorted(table)}")
     return table[name]
+
+
+def make_connected(st: UFState):
+    """Return ``connected(pairs) -> list[bool]``: ``IsConnected(u, v)`` for
+    each pair, by two naive (read-only) finds fused into one loop.
+
+    ``FINDS``, ``READS``, ``TPL`` and ``MPL`` come out exactly as two
+    ``find_naive`` calls per pair would leave them; they go into the counters
+    once per call.
+    """
+    P, c = st.parent, st.c.a
+
+    def connected(pairs) -> list[bool]:
+        out = []
+        tpl = mpl = 0
+        for u, v in pairs:
+            su = 0
+            p = P[u]
+            while p != u:
+                u = p
+                p = P[u]
+                su += 1
+            sv = 0
+            p = P[v]
+            while p != v:
+                v = p
+                p = P[v]
+                sv += 1
+            out.append(u == v)
+            tpl += su + sv
+            if su > mpl:
+                mpl = su
+            if sv > mpl:
+                mpl = sv
+        k = len(pairs)
+        c[READS] += tpl + 2 * k
+        c[FINDS] += 2 * k
+        c[TPL] += tpl
+        if mpl > c[MPL]:
+            c[MPL] = mpl
+        return out
+
+    return connected

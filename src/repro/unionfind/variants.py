@@ -3,13 +3,13 @@
 All are min-based root-based algorithms: a hook links the root with the
 *larger* value under the smaller one, so the final canonical root of a
 component is its minimum vertex id (UF-JTB links by random priority instead
-and is canonicalized afterwards). ``union(u, v)`` returns the hooked root id
-on a successful hook and ``-1`` otherwise — the hook root is where the
-spanning-forest edge is recorded (Definition B.2 requirement 3).
+and is canonicalized afterwards). ``union(pairs)`` applies one batch of pairs
+in order and returns the indices of the pairs that hooked; the hooked root is
+where the spanning-forest edge is recorded (Definition B.2 requirement 3).
 """
 from __future__ import annotations
 
-from repro.unionfind.core import CAS_FAIL, CAS_TRY, HOOKS, READS, WRITES, UFSpec, UFState
+from repro.unionfind.core import CAS_FAIL, CAS_TRY, HOOKS, READS, UNIONS, WRITES, UFSpec, UFState
 from repro.unionfind.finds import make_find
 from repro.unionfind.splices import make_splice
 
@@ -34,45 +34,51 @@ def valid_specs() -> list[UFSpec]:
 
 
 def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
-    """Build ``union(u, v) -> hooked_root | -1`` for one spec.
+    """Build ``union(pairs) -> hooked`` for one spec.
 
-    Each union adds up its own parent reads/writes and CAS attempts/failures
-    in local variables and adds them to the counters once, when it returns;
-    the finds and splices it calls count themselves the same way.
+    ``pairs`` is a sequence of ``(u, v)`` vertex-id pairs, applied in order;
+    ``hooked`` lists the indices of the pairs that hooked a root. A call is
+    one batch: its parent reads/writes, CAS attempts/failures, hooks and
+    unions add up in local variables and go into the counters once, when it
+    returns. The finds and splices it calls stay per-element and count
+    themselves. With ``record_forest``, ``st.forest[r] = (u, v)`` records the
+    pair that hooked root ``r``.
     """
-    c, P = st.c.a, st.parent
+    c, P, F = st.c.a, st.parent, st.forest
 
-    def _hooked(r: int, u: int, v: int) -> int:
-        c[HOOKS] += 1
-        if record_forest:
-            st.forest[r] = (u, v)
-        return r
+    def _count(pairs, hooked, reads, writes, tries, fails) -> list[int]:
+        c[READS] += reads
+        c[WRITES] += writes
+        c[CAS_TRY] += tries
+        c[CAS_FAIL] += fails
+        c[HOOKS] += len(hooked)
+        c[UNIONS] += len(pairs)
+        return hooked
 
     if spec.variant == "uf-async":
         find = make_find(spec.find, st)
 
-        def union(u: int, v: int) -> int:
-            res = -1
+        def union(pairs) -> list[int]:
+            hooked = []
             reads = tries = fails = 0
-            while True:
-                pu, pv = find(u), find(v)
-                if pu == pv:
-                    break
-                if pu < pv:
-                    pu, pv = pv, pu
-                reads += 1
-                if P[pu] == pu:
-                    tries += 1
-                    if P[pu] == pu:  # CAS(&P[pu], pu, pv)
-                        P[pu] = pv
-                        res = _hooked(pu, u, v)
+            for i, (u, v) in enumerate(pairs):
+                while True:
+                    pu, pv = find(u), find(v)
+                    if pu == pv:
                         break
-                    fails += 1
-            c[READS] += reads
-            c[WRITES] += tries - fails
-            c[CAS_TRY] += tries
-            c[CAS_FAIL] += fails
-            return res
+                    if pu < pv:
+                        pu, pv = pv, pu
+                    reads += 1
+                    if P[pu] == pu:
+                        tries += 1
+                        if P[pu] == pu:  # CAS(&P[pu], pu, pv)
+                            P[pu] = pv
+                            hooked.append(i)
+                            if record_forest:
+                                F[pu] = (u, v)
+                            break
+                        fails += 1
+            return _count(pairs, hooked, reads, tries - fails, tries, fails)
 
         return union
 
@@ -80,30 +86,29 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
         find = make_find(spec.find, st)
         H = st.ensure_hooks()
 
-        def union(u: int, v: int) -> int:
-            res = -1
+        def union(pairs) -> list[int]:
+            hooked = []
             reads = tries = 0
-            while True:
-                pu, pv = find(u), find(v)
-                if pu == pv:
-                    break
-                if pu < pv:
-                    pu, pv = pv, pu
-                reads += 1
-                # CAS on the auxiliary hooks array; the parents write is
-                # then uncontended (paper Algorithm 11).
-                tries += 1
-                if P[pu] == pu and H[pu] == -1:
-                    H[pu] = pv
-                    P[pu] = pv
-                    res = _hooked(pu, u, v)
-                    break
-            hooked = res >= 0
-            c[READS] += reads
-            c[WRITES] += 2 * hooked
-            c[CAS_TRY] += tries
-            c[CAS_FAIL] += tries - hooked
-            return res
+            for i, (u, v) in enumerate(pairs):
+                while True:
+                    pu, pv = find(u), find(v)
+                    if pu == pv:
+                        break
+                    if pu < pv:
+                        pu, pv = pv, pu
+                    reads += 1
+                    # CAS on the auxiliary hooks array; the parents write is
+                    # then uncontended (paper Algorithm 11).
+                    tries += 1
+                    if P[pu] == pu and H[pu] == -1:
+                        H[pu] = pv
+                        P[pu] = pv
+                        hooked.append(i)
+                        if record_forest:
+                            F[pu] = (u, v)
+                        break
+            hooks = len(hooked)
+            return _count(pairs, hooked, reads, 2 * hooks, tries, tries - hooks)
 
         return union
 
@@ -111,36 +116,35 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
         find = make_find(spec.find, st)
         do_compress = spec.find != "naive"
 
-        def union(u: int, v: int) -> int:
+        def union(pairs) -> list[int]:
             # Walk up from both endpoints, eagerly trying to hook whichever
             # current vertex is a root (paper Algorithm 12, adapted: the
             # published pseudocode is abbreviated; this preserves its
             # root-based min-hooking semantics).
-            ru, rv = u, v
-            res = -1
+            hooked = []
             reads = tries = fails = 0
-            while ru != rv:
-                if ru < rv:
-                    ru, rv = rv, ru
-                reads += 1
-                pu = P[ru]
-                if pu == ru:
-                    tries += 1
-                    if P[ru] == ru:  # CAS(&P[ru], ru, rv)
-                        P[ru] = rv
-                        res = _hooked(ru, u, v)
-                        break
-                    fails += 1
-                else:
-                    ru = pu
-            c[READS] += reads
-            c[WRITES] += tries - fails
-            c[CAS_TRY] += tries
-            c[CAS_FAIL] += fails
-            if do_compress:
-                find(u)
-                find(v)
-            return res
+            for i, (u, v) in enumerate(pairs):
+                ru, rv = u, v
+                while ru != rv:
+                    if ru < rv:
+                        ru, rv = rv, ru
+                    reads += 1
+                    pu = P[ru]
+                    if pu == ru:
+                        tries += 1
+                        if P[ru] == ru:  # CAS(&P[ru], ru, rv)
+                            P[ru] = rv
+                            hooked.append(i)
+                            if record_forest:
+                                F[ru] = (u, v)
+                            break
+                        fails += 1
+                    else:
+                        ru = pu
+                if do_compress:
+                    find(u)
+                    find(v)
+            return _count(pairs, hooked, reads, tries - fails, tries, fails)
 
         return union
 
@@ -149,45 +153,46 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
         compress = None if spec.find == "naive" else make_find(spec.find, st)
         lock_based = spec.variant == "uf-rem-lock"
 
-        def union(u: int, v: int) -> int:
-            ru, rv = u, v
-            res = -1
+        def union(pairs) -> list[int]:
+            hooked = []
             reads = writes = tries = fails = 0
-            while True:
-                reads += 2
-                pu, pv = P[ru], P[rv]
-                if pu == pv:
-                    break
-                if pu < pv:
-                    ru, rv, pu, pv = rv, ru, pv, pu
-                if ru == pu:  # ru is a root with larger value: hook it
-                    if lock_based:
-                        # acquire L[ru]; re-check under the lock, plain write
-                        reads += 2
-                        pv2 = P[rv]
-                        if P[ru] == ru and ru > pv2:
-                            P[ru] = pv2
-                            writes += 1
-                            res = _hooked(ru, u, v)
-                            break
+            for i, (u, v) in enumerate(pairs):
+                ru, rv = u, v
+                while True:
+                    reads += 2
+                    pu, pv = P[ru], P[rv]
+                    if pu == pv:
+                        break
+                    if pu < pv:
+                        ru, rv, pu, pv = rv, ru, pv, pu
+                    if ru == pu:  # ru is a root with larger value: hook it
+                        if lock_based:
+                            # acquire L[ru]; re-check under the lock, plain write
+                            reads += 2
+                            pv2 = P[rv]
+                            if P[ru] == ru and ru > pv2:
+                                P[ru] = pv2
+                                writes += 1
+                                hooked.append(i)
+                                if record_forest:
+                                    F[ru] = (u, v)
+                                break
+                        else:
+                            tries += 1
+                            if P[ru] == ru:  # CAS(&P[ru], ru, pv)
+                                P[ru] = pv
+                                writes += 1
+                                hooked.append(i)
+                                if record_forest:
+                                    F[ru] = (u, v)
+                                break
+                            fails += 1
                     else:
-                        tries += 1
-                        if P[ru] == ru:  # CAS(&P[ru], ru, pv)
-                            P[ru] = pv
-                            writes += 1
-                            res = _hooked(ru, u, v)
-                            break
-                        fails += 1
-                else:
-                    ru = splice(ru, rv)
-            c[READS] += reads
-            c[WRITES] += writes
-            c[CAS_TRY] += tries
-            c[CAS_FAIL] += fails
-            if compress is not None:
-                compress(u)
-                compress(v)
-            return res
+                        ru = splice(ru, rv)
+                if compress is not None:
+                    compress(u)
+                    compress(v)
+            return _count(pairs, hooked, reads, writes, tries, fails)
 
         return union
 
@@ -197,30 +202,29 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
         find = make_find(spec.find, st)
         prio = st.ensure_prio()
 
-        def union(u: int, v: int) -> int:
+        def union(pairs) -> list[int]:
             # Randomized linking (Jayanti–Tarjan–Boix-Adserà): the root with
             # lower random priority is linked under the higher-priority root.
-            res = -1
+            hooked = []
             reads = tries = fails = 0
-            while True:
-                pu, pv = find(u), find(v)
-                if pu == pv:
-                    break
-                if prio[pu] > prio[pv]:
-                    pu, pv = pv, pu
-                reads += 1
-                if P[pu] == pu:
-                    tries += 1
-                    if P[pu] == pu:  # CAS(&P[pu], pu, pv)
-                        P[pu] = pv
-                        res = _hooked(pu, u, v)
+            for i, (u, v) in enumerate(pairs):
+                while True:
+                    pu, pv = find(u), find(v)
+                    if pu == pv:
                         break
-                    fails += 1
-            c[READS] += reads
-            c[WRITES] += tries - fails
-            c[CAS_TRY] += tries
-            c[CAS_FAIL] += fails
-            return res
+                    if prio[pu] > prio[pv]:
+                        pu, pv = pv, pu
+                    reads += 1
+                    if P[pu] == pu:
+                        tries += 1
+                        if P[pu] == pu:  # CAS(&P[pu], pu, pv)
+                            P[pu] = pv
+                            hooked.append(i)
+                            if record_forest:
+                                F[pu] = (u, v)
+                            break
+                        fails += 1
+            return _count(pairs, hooked, reads, tries - fails, tries, fails)
 
         return union
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.unionfind.core import UFState
-from repro.unionfind.finds import make_find
+from repro.unionfind.finds import make_connected, make_find
 from repro.unionfind.splices import make_splice
 
 
@@ -94,3 +94,40 @@ def test_counters_cas_accounting():
     c = st.c.as_dict()
     assert c["cas_attempts"] >= 1
     assert c["cas_failures"] == 0  # sequential: every CAS succeeds
+
+
+def _root_and_hops(P, u):
+    """Reference naive find: the root of u and the parent hops to reach it."""
+    hops = 0
+    while P[u] != u:
+        u = P[u]
+        hops += 1
+    return u, hops
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_connected_matches_two_naive_finds(seed):
+    """``connected`` answers and counts exactly as two naive finds per query,
+    across calls of different sizes (MPL is a running maximum)."""
+    rng = np.random.default_rng(seed)
+    n = 300
+    st = UFState(n)
+    # a random forest with long paths: each vertex is a root or points a few ids down
+    st.parent[:] = [i if i == 0 or rng.random() < 0.02 else int(rng.integers(max(0, i - 4), i)) for i in range(n)]
+    before = list(st.parent)
+    connected = make_connected(st)
+    mpl = 0
+    for k in (0, 1, 50, 7):
+        pairs = rng.integers(0, n, size=(k, 2)).tolist()
+        ref = [(_root_and_hops(before, u), _root_and_hops(before, v)) for u, v in pairs]
+        hops = [h for (_, hu), (_, hv) in ref for h in (hu, hv)]
+        c0 = st.c.as_dict()
+        assert connected(pairs) == [ru == rv for (ru, _), (rv, _) in ref]
+        c1 = st.c.as_dict()
+        mpl = max([mpl, *hops])
+        assert c1["finds"] - c0["finds"] == 2 * k
+        assert c1["parent_reads"] - c0["parent_reads"] == sum(hops) + 2 * k
+        assert c1["total_path_length"] - c0["total_path_length"] == sum(hops)
+        assert c1["max_path_length"] == mpl
+        assert c1["parent_writes"] == c1["cas_attempts"] == 0
+    assert st.parent == before

@@ -45,6 +45,14 @@ def test_table4_subset(spark):
     assert piv["UF-Rem-CAS"] > piv["SV"]
 
 
+def test_table4_reads_per_update(spark):
+    """Deterministic companion of ``test_table4_subset``: UF-Rem-CAS reads the
+    parents array fewer times per update than SV's batch rounds."""
+    df = T.table4(spark, "test", graphs=("LJ",))
+    reads = df.set_index("algorithm").reads_per_update
+    assert reads["UF-Rem-CAS"] < reads["SV"]
+
+
 def test_table8(spark):
     df = T.table8(spark, "test")
     assert len(df) == len(suite.GRAPH_NAMES)

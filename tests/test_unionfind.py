@@ -7,7 +7,8 @@ import pytest
 
 from repro.graphs import generators as gen
 from repro.graphs.ground_truth import canonicalize, cc_labels, num_components, same_partition
-from repro.unionfind import UFSpec, run_components
+from repro.unionfind import UFSpec, make_union, run_components
+from repro.unionfind.core import UFState
 from repro.unionfind.variants import valid_specs
 
 SPECS = valid_specs()
@@ -61,6 +62,19 @@ def test_forest_size(spec):
         np.array([v for _, v in fe] + [u for u, _ in fe], dtype=np.int64),
     )
     assert same_partition(fl, truth)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_hooked_indices_are_forest(spec):
+    """``union(pairs)`` returns, in order, the indices of the pairs that the
+    forest records, one per hook."""
+    g = GRAPHS["rmat"]
+    pairs = _edges(g).tolist()
+    st = UFState(g.n)
+    hooked = make_union(spec, st, record_forest=True)(pairs)
+    assert [tuple(pairs[i]) for i in hooked] == list(st.forest.values())
+    assert len(hooked) == st.c.as_dict()["hooks"] == g.n - num_components(cc_labels(g.n, g.src, g.dst))
+    assert hooked == sorted(set(hooked))
 
 
 def test_invalid_combination_rejected():

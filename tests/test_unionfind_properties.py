@@ -2,8 +2,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.core.streaming import StreamingConnectIt
 from repro.graphs.ground_truth import cc_labels, same_partition
-from repro.unionfind import UFSpec, run_components
+from repro.unionfind import UFSpec, UFState, make_union, run_components
+from repro.unionfind.variants import valid_specs
 
 edge_lists = st.lists(
     st.tuples(st.integers(0, 29), st.integers(0, 29)), min_size=0, max_size=120
@@ -63,3 +65,62 @@ def test_monotone_prefix(pairs):
     for lab in np.unique(l1):
         members = np.flatnonzero(l1 == lab)
         assert len(np.unique(l2[members])) == 1
+
+
+def _cuts(data, length: int) -> list[int]:
+    return sorted(data.draw(st.lists(st.integers(0, length), max_size=6)))
+
+
+@given(pairs=edge_lists, data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_batch_split_invariance(pairs, data):
+    """A union call is one loop over its pairs: splitting the same update
+    sequence into batches leaves the hooked pairs, the forest, the labels and
+    every counter as the one-batch run has them."""
+    e = _sym(pairs).tolist()
+    spec = data.draw(st.sampled_from(valid_specs()))
+    cuts = _cuts(data, len(e))
+    one, many = UFState(30), UFState(30)
+    hooked = make_union(spec, one, record_forest=True)(e)
+    union = make_union(spec, many, record_forest=True)
+    split = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(e)]):
+        split += [lo + i for i in union(e[lo:hi])]
+    assert split == hooked
+    assert many.c.as_dict() == one.c.as_dict()
+    assert many.forest == one.forest
+    assert many.compress_all().tolist() == one.compress_all().tolist()
+
+
+STREAM_ALGOS = [
+    UFSpec("uf-rem-cas", "naive", "split-one"),
+    UFSpec("uf-rem-lock", "compress", "halve-one"),
+    UFSpec("uf-rem-cas", "naive", "splice"),
+    UFSpec("uf-async", "split"),
+    UFSpec("uf-hooks", "naive"),
+    UFSpec("uf-early", "halve"),
+    UFSpec("uf-jtb", "two-try"),
+    "sv",
+    "lt-root",
+]
+
+
+@given(pairs=edge_lists, queries=edge_lists, data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_streaming_matches_replay(pairs, queries, data):
+    """At every batch boundary the answers equal an independent replay: a
+    plain label array, relabelled on each insert that joins two labels."""
+    algo = data.draw(st.sampled_from(STREAM_ALGOS))
+    updates = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    asked = np.array(queries, dtype=np.int64).reshape(-1, 2)
+    ucuts = _cuts(data, len(updates))
+    qcuts = sorted(data.draw(st.lists(st.integers(0, len(asked)), min_size=len(ucuts), max_size=len(ucuts))))
+    s = StreamingConnectIt(30, algo)
+    label = list(range(30))
+    for ub, qb in zip(np.split(updates, ucuts), np.split(asked, qcuts)):
+        for u, v in ub.tolist():
+            a, b = label[u], label[v]
+            if a != b:
+                label = [a if x == b else x for x in label]
+        assert s.process_batch(ub, qb).tolist() == [label[u] == label[v] for u, v in qb.tolist()]
+    assert same_partition(s.labels(), np.array(label))
