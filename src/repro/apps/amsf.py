@@ -31,7 +31,7 @@ def _buckets(w: np.ndarray, eps: float) -> np.ndarray:
 
 def _forest_pass(union, u: np.ndarray, v: np.ndarray) -> list[int]:
     """Apply one bucket's edges; returns indices of edges that hooked."""
-    return union(list(zip(u.tolist(), v.tolist())))
+    return union(zip(u.tolist(), v.tolist()))
 
 
 def amsf(

@@ -109,7 +109,7 @@ def gs_query_connectit(
     t0 = time.perf_counter()
     u, v, core, cu, cv = _query_sets(index, n, eps, mu)
     st = UFState(n)
-    make_union(UFSpec("uf-rem-cas", "naive", "split-one"), st)(list(zip(cu.tolist(), cv.tolist())))
+    make_union(UFSpec("uf-rem-cas", "naive", "split-one"), st)(zip(cu.tolist(), cv.tolist()))
     roots = st.compress_all()
     labels = _attach_and_label(n, core, roots, u, v)
     return labels, time.perf_counter() - t0

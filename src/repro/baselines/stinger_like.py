@@ -86,7 +86,8 @@ class StingerLike:
         updates = updates[order]
         keep = np.ones(len(updates), dtype=bool)
         keep[1:] = (np.diff(updates[:, 0]) != 0) | (np.diff(updates[:, 1]) != 0)
-        for u, v in updates[keep].tolist():
+        us, vs = updates[keep].T.tolist()  # flat id lists, as ConnectIt's kernel reads a batch
+        for u, v in zip(us, vs):
             self.insert(u, v)
 
     def is_connected(self, u: int, v: int) -> bool:

@@ -17,13 +17,15 @@ Like the paper's one parallel pass over a batch's updates and one over its
 queries, each batch is one kernel call per half: the variant's
 ``union(pairs)`` (or the Type 2 rounds) over the updates, then
 ``connected(pairs)`` over the queries, with the counters updated once per call.
+Each half reaches its loop as two flat id lists (``id_pairs``), so a batch
+allocates no garbage-collector-tracked object per pair.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.unionfind import UFSpec, UFState, make_union
-from repro.unionfind.core import READS, UNIONS, WRITES, as_edges
+from repro.unionfind.core import READS, UNIONS, WRITES, as_edges, id_pairs
 from repro.unionfind.finds import make_connected
 
 
@@ -75,8 +77,8 @@ class StreamingConnectIt:
             self._batch_rounds(updates)
             self.state.c.a[UNIONS] += len(updates)
         else:
-            self._union(updates.tolist())
-        return np.array(self._connected(queries.tolist()), dtype=bool)
+            self._union(id_pairs(updates))
+        return np.array(self._connected(id_pairs(queries)), dtype=bool)
 
     def labels(self) -> np.ndarray:
         return self.state.compress_all()
@@ -94,13 +96,13 @@ class StreamingConnectIt:
             return
         p = np.array(self.state.parent, dtype=np.int64)
         sv = self.algorithm == "sv"
-        pairs = edges.tolist()
+        us, vs = edges.T.tolist()  # flat id lists, reused by every round
         writes = 0
         rounds = 0
         while True:
             rounds += 1
             prev = p.copy()
-            for u, v in pairs:
+            for u, v in zip(us, vs):
                 pu, pv = int(p[u]), int(p[v])
                 l, h = (pu, pv) if pu < pv else (pv, pu)
                 if l != h:
@@ -123,6 +125,6 @@ class StreamingConnectIt:
             if np.array_equal(p, prev):
                 break
         c = self.state.c.a
-        c[READS] += 2 * len(pairs) * rounds
+        c[READS] += 2 * len(us) * rounds
         c[WRITES] += writes
         self.state.parent[:] = p.tolist()

@@ -191,6 +191,14 @@ def table3(
 
 
 # ---------------------------------------------------------------- Table 4 --
+PASSES = 3  # fresh passes per timed Table 4/5 cell
+
+
+def _spread(times: list[float]) -> tuple[float, float, float]:
+    """Median, min and max of one cell's pass times."""
+    return float(np.median(times)), min(times), max(times)
+
+
 STREAM_ALGOS = {
     "UF-Early": UFSpec("uf-early", "naive"),
     "UF-Hooks": UFSpec("uf-hooks", "naive"),
@@ -207,7 +215,8 @@ def table4(
     spark: SparkSession, scale: str = "mini", graphs: tuple[str, ...] | None = None
 ) -> pd.DataFrame:
     """Maximum streaming throughput: the whole graph as one COO batch, with
-    the parent reads per update as its deterministic work count."""
+    the parent reads per update as its deterministic work count. Each cell is
+    the median of ``PASSES`` fresh passes, with their min–max rates."""
     names = graphs or tuple(suite.GRAPH_NAMES) + ("RM", "BA")
     rows = []
     for name in names:
@@ -215,15 +224,19 @@ def table4(
         edges = np.stack([g.src, g.dst], axis=1)
         truth = _truth(g)
         for algname, alg in STREAM_ALGOS.items():
-            s = StreamingConnectIt(g.n, alg)
-            t0 = time.perf_counter()
-            s.process_batch(edges)
-            dt = time.perf_counter() - t0
+            times = []
+            for _ in range(PASSES):
+                s = StreamingConnectIt(g.n, alg)
+                t0 = time.perf_counter()
+                s.process_batch(edges)
+                times.append(time.perf_counter() - t0)
+                assert same_partition(canonicalize(s.labels()), truth), (name, algname)
+            dt, lo, hi = _spread(times)
             reads = s.state.c.as_dict()["parent_reads"]
-            assert same_partition(canonicalize(s.labels()), truth), (name, algname)
             rows.append(
                 {"graph": name, "algorithm": algname, "updates": len(edges),
                  "time_s": dt, "updates_per_s": len(edges) / dt,
+                 "updates_per_s_min": len(edges) / hi, "updates_per_s_max": len(edges) / lo,
                  "reads_per_update": reads / len(edges)}
             )
     return pd.DataFrame(rows)
@@ -237,7 +250,9 @@ def table5(
     total_edges: int | None = None,
 ) -> pd.DataFrame:
     """STINGER-analog vs ConnectIt UF-Rem-CAS{SplitAtomicOne}: batch inserts
-    into an empty graph, per-batch latency and throughput."""
+    into an empty graph, per-batch latency and throughput. Each cell is the
+    median of ``PASSES`` fresh passes over the stream, with their min–max
+    rates; the two systems alternate pass by pass."""
     n = {"test": 1 << 10, "mini": 1 << 14, "bench": 1 << 17}[scale]
     total = total_edges or {"test": 20_000, "mini": 200_000, "bench": 1_000_000}[scale]
     from repro.graphs.generators import rmat
@@ -249,23 +264,28 @@ def table5(
         if bs > len(edges):
             continue
         nbatches = max(1, len(edges) // bs)
-        use = edges[: nbatches * bs]
-        # ConnectIt
-        s = StreamingConnectIt(stream_g.n, UFSpec("uf-rem-cas", "naive", "split-one"))
-        t0 = time.perf_counter()
-        for i in range(nbatches):
-            s.process_batch(use[i * bs : (i + 1) * bs])
-        ct = (time.perf_counter() - t0) / nbatches
-        # STINGER-analog
-        st = StingerLike(stream_g.n)
-        t0 = time.perf_counter()
-        for i in range(nbatches):
-            st.process_batch(use[i * bs : (i + 1) * bs])
-        stt = (time.perf_counter() - t0) / nbatches
-        assert same_partition(canonicalize(s.labels()), canonicalize(st.labels()))
+        batches = np.split(edges[: nbatches * bs], nbatches)
+        connectit, stinger = [], []
+        for _ in range(PASSES):
+            s = StreamingConnectIt(stream_g.n, UFSpec("uf-rem-cas", "naive", "split-one"))
+            t0 = time.perf_counter()
+            for b in batches:
+                s.process_batch(b)
+            connectit.append((time.perf_counter() - t0) / nbatches)
+            st = StingerLike(stream_g.n)
+            t0 = time.perf_counter()
+            for b in batches:
+                st.process_batch(b)
+            stinger.append((time.perf_counter() - t0) / nbatches)
+            assert same_partition(canonicalize(s.labels()), canonicalize(st.labels()))
+        ct, ct_lo, ct_hi = _spread(connectit)
+        stt, st_lo, st_hi = _spread(stinger)
         rows.append(
             {"batch": bs, "stinger_s": stt, "stinger_rate": bs / stt,
-             "connectit_s": ct, "connectit_rate": bs / ct, "speedup": stt / ct}
+             "stinger_rate_min": bs / st_hi, "stinger_rate_max": bs / st_lo,
+             "connectit_s": ct, "connectit_rate": bs / ct,
+             "connectit_rate_min": bs / ct_hi, "connectit_rate_max": bs / ct_lo,
+             "speedup": stt / ct}
         )
     return pd.DataFrame(rows)
 

@@ -139,6 +139,18 @@ def as_edges(edges, n: int) -> np.ndarray:
     return a.reshape(-1, 2).astype(np.int64, copy=False)
 
 
+def id_pairs(edges: np.ndarray):
+    """Iterate a ``(k, 2)`` id array as ``(u, v)`` pairs of Python ints.
+
+    The pairs come from two flat int lists, so no garbage-collector-tracked
+    object outlives its pair. ``edges.tolist()`` would build a list per pair,
+    and a batch of those sets off CPython's cyclic collector about once per
+    700 pairs, each run rescanning the lists still alive.
+    """
+    us, vs = edges.T.tolist()
+    return zip(us, vs)
+
+
 def run_components(
     n: int,
     edges: np.ndarray,
@@ -163,6 +175,6 @@ def run_components(
     if skip_label is not None and labels is not None:
         init = np.asarray(labels, dtype=np.int64)
         edges = edges[init[edges[:, 0]] != skip_label]
-    # tolist() once: iterating numpy rows costs ~5x more per edge
-    union(edges.tolist())
+    # Python ints, not numpy rows: iterating numpy rows costs ~5x more per edge
+    union(id_pairs(edges))
     return st.compress_all(), st

@@ -101,7 +101,9 @@ def make_find(name: str, st: UFState):
 
 def make_connected(st: UFState):
     """Return ``connected(pairs) -> list[bool]``: ``IsConnected(u, v)`` for
-    each pair, by two naive (read-only) finds fused into one loop.
+    each pair of any iterable of ``(u, v)`` pairs (hot callers pass
+    ``zip(us, vs)`` over two flat int lists, as for ``union``), by two naive
+    (read-only) finds fused into one loop.
 
     ``FINDS``, ``READS``, ``TPL`` and ``MPL`` come out exactly as two
     ``find_naive`` calls per pair would leave them; they go into the counters
@@ -131,7 +133,7 @@ def make_connected(st: UFState):
                 mpl = su
             if sv > mpl:
                 mpl = sv
-        k = len(pairs)
+        k = len(out)
         c[READS] += tpl + 2 * k
         c[FINDS] += 2 * k
         c[TPL] += tpl

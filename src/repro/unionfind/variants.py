@@ -36,23 +36,26 @@ def valid_specs() -> list[UFSpec]:
 def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
     """Build ``union(pairs) -> hooked`` for one spec.
 
-    ``pairs`` is a sequence of ``(u, v)`` vertex-id pairs, applied in order;
-    ``hooked`` lists the indices of the pairs that hooked a root. A call is
-    one batch: its parent reads/writes, CAS attempts/failures, hooks and
-    unions add up in local variables and go into the counters once, when it
-    returns. The finds and splices it calls stay per-element and count
+    ``pairs`` is any iterable of ``(u, v)`` vertex-id pairs, applied in
+    order; ``hooked`` lists the indices of the pairs that hooked a root. Hot
+    callers pass ``zip(us, vs)`` over two flat int lists: a list per pair is
+    one garbage-collector-tracked object per pair, and a batch of those sets
+    off CPython's cyclic collector. A call is one batch: its parent
+    reads/writes, CAS attempts/failures, hooks and unions (the pairs the
+    loop consumed) add up in local variables and go into the counters once,
+    when it returns. The finds and splices it calls stay per-element and count
     themselves. With ``record_forest``, ``st.forest[r] = (u, v)`` records the
     pair that hooked root ``r``.
     """
     c, P, F = st.c.a, st.parent, st.forest
 
-    def _count(pairs, hooked, reads, writes, tries, fails) -> list[int]:
+    def _count(k, hooked, reads, writes, tries, fails) -> list[int]:
         c[READS] += reads
         c[WRITES] += writes
         c[CAS_TRY] += tries
         c[CAS_FAIL] += fails
         c[HOOKS] += len(hooked)
-        c[UNIONS] += len(pairs)
+        c[UNIONS] += k
         return hooked
 
     if spec.variant == "uf-async":
@@ -61,6 +64,7 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
         def union(pairs) -> list[int]:
             hooked = []
             reads = tries = fails = 0
+            i = -1
             for i, (u, v) in enumerate(pairs):
                 while True:
                     pu, pv = find(u), find(v)
@@ -78,7 +82,7 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
                                 F[pu] = (u, v)
                             break
                         fails += 1
-            return _count(pairs, hooked, reads, tries - fails, tries, fails)
+            return _count(i + 1, hooked, reads, tries - fails, tries, fails)
 
         return union
 
@@ -89,6 +93,7 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
         def union(pairs) -> list[int]:
             hooked = []
             reads = tries = 0
+            i = -1
             for i, (u, v) in enumerate(pairs):
                 while True:
                     pu, pv = find(u), find(v)
@@ -108,7 +113,7 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
                             F[pu] = (u, v)
                         break
             hooks = len(hooked)
-            return _count(pairs, hooked, reads, 2 * hooks, tries, tries - hooks)
+            return _count(i + 1, hooked, reads, 2 * hooks, tries, tries - hooks)
 
         return union
 
@@ -123,6 +128,7 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
             # root-based min-hooking semantics).
             hooked = []
             reads = tries = fails = 0
+            i = -1
             for i, (u, v) in enumerate(pairs):
                 ru, rv = u, v
                 while ru != rv:
@@ -144,7 +150,7 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
                 if do_compress:
                     find(u)
                     find(v)
-            return _count(pairs, hooked, reads, tries - fails, tries, fails)
+            return _count(i + 1, hooked, reads, tries - fails, tries, fails)
 
         return union
 
@@ -156,6 +162,7 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
         def union(pairs) -> list[int]:
             hooked = []
             reads = writes = tries = fails = 0
+            i = -1
             for i, (u, v) in enumerate(pairs):
                 ru, rv = u, v
                 while True:
@@ -192,7 +199,7 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
                 if compress is not None:
                     compress(u)
                     compress(v)
-            return _count(pairs, hooked, reads, writes, tries, fails)
+            return _count(i + 1, hooked, reads, writes, tries, fails)
 
         return union
 
@@ -207,6 +214,7 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
             # lower random priority is linked under the higher-priority root.
             hooked = []
             reads = tries = fails = 0
+            i = -1
             for i, (u, v) in enumerate(pairs):
                 while True:
                     pu, pv = find(u), find(v)
@@ -224,7 +232,7 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
                                 F[pu] = (u, v)
                             break
                         fails += 1
-            return _count(pairs, hooked, reads, tries - fails, tries, fails)
+            return _count(i + 1, hooked, reads, tries - fails, tries, fails)
 
         return union
 

@@ -2,9 +2,12 @@
 must compute correct components on every graph, under adversarial operation
 orders, with seeded labels, with skip filters, and while emitting valid
 spanning-forest hooks."""
+import gc
+
 import numpy as np
 import pytest
 
+from repro.core.streaming import StreamingConnectIt
 from repro.graphs import generators as gen
 from repro.graphs.ground_truth import canonicalize, cc_labels, num_components, same_partition
 from repro.unionfind import UFSpec, make_union, run_components
@@ -193,3 +196,28 @@ def test_run_components_empty(n):
     labels, st = run_components(n, np.empty((0, 2)), UFSpec())
     assert labels.tolist() == list(range(n))
     assert st.c.as_dict()["unions"] == 0
+
+
+def _gen0_collections(fn) -> int:
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    fn()
+    return gc.get_stats()[0]["collections"] - before
+
+
+@pytest.mark.parametrize("path", ["run_components", "process_batch"])
+def test_batch_builds_no_object_per_pair(path):
+    """A batch reaches the kernel loop as flat id lists: 100k pairs run at
+    most a few gen-0 collections, where one tracked object per pair would
+    run about k / threshold0 (~140) of them."""
+    assert gc.isenabled()
+    k, n = 100_000, 1 << 14
+    assert k // gc.get_threshold()[0] >= 50  # the guard can see a per-pair object
+    edges = np.random.default_rng(5).integers(0, n, size=(k, 2))
+    spec = UFSpec("uf-rem-cas", "naive", "split-one")
+    if path == "run_components":
+        runs = _gen0_collections(lambda: run_components(n, edges, spec))
+    else:
+        s = StreamingConnectIt(n, spec)
+        runs = _gen0_collections(lambda: s.process_batch(edges, edges[::-1]))
+    assert runs <= 3

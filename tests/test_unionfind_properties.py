@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.streaming import StreamingConnectIt
 from repro.graphs.ground_truth import cc_labels, same_partition
 from repro.unionfind import UFSpec, UFState, make_union, run_components
+from repro.unionfind.finds import make_connected
 from repro.unionfind.variants import valid_specs
 
 edge_lists = st.lists(
@@ -90,6 +91,30 @@ def test_batch_split_invariance(pairs, data):
     assert many.c.as_dict() == one.c.as_dict()
     assert many.forest == one.forest
     assert many.compress_all().tolist() == one.compress_all().tolist()
+
+
+@given(pairs=edge_lists, queries=edge_lists, data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_iterator_input_matches_list_input(pairs, queries, data):
+    """``union`` and ``connected`` take any iterable of pairs: a ``zip`` over
+    two flat id lists gives the hooked indices, forest, labels, answers and
+    every counter that the list of pairs gives, including for an empty
+    iterator, from which the counters count no union and no find."""
+    spec = data.draw(st.sampled_from(valid_specs()))
+    by_list, by_zip = UFState(30), UFState(30)
+    hooked = make_union(spec, by_list, record_forest=True)(pairs)
+    union = make_union(spec, by_zip, record_forest=True)
+    assert union(iter(())) == []
+    assert by_zip.c.as_dict() == UFState(30).c.as_dict()
+    assert union(zip([u for u, _ in pairs], [v for _, v in pairs])) == hooked
+    assert by_zip.c.as_dict() == by_list.c.as_dict()
+    assert by_zip.forest == by_list.forest
+    answers = make_connected(by_list)(queries)
+    connected = make_connected(by_zip)
+    assert connected(iter(())) == []
+    assert connected(zip([u for u, _ in queries], [v for _, v in queries])) == answers
+    assert by_zip.c.as_dict() == by_list.c.as_dict()
+    assert by_zip.compress_all().tolist() == by_list.compress_all().tolist()
 
 
 STREAM_ALGOS = [
