@@ -4,10 +4,9 @@ Jobs run standalone (not under pytest), so they create their own local
 session with the same settings as conftest.py's fixture.
 
 The ``repro`` package is used from the checkout, not installed: importing
-this module puts the checkout's ``src`` on the driver's ``sys.path`` and, via
-``PYTHONPATH`` before the JVM starts, on the path of the Python workers it
-launches (``connectivity(..., spark_uf=True)`` imports ``repro`` inside
-``mapInPandas`` tasks).
+this module puts the checkout's ``src`` on the driver's ``sys.path``. No
+Spark task runs Python code from ``repro`` (there are no UDFs), so the
+Python workers need no path to it.
 """
 import os
 import sys
@@ -16,9 +15,6 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
-_paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-if SRC not in _paths:
-    os.environ["PYTHONPATH"] = os.pathsep.join([SRC, *_paths])
 
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
@@ -42,11 +38,11 @@ def get_spark(shuffle_partitions: int = 16) -> SparkSession:
     return s
 
 
-def run_table(fn, name: str, scale: str | None = None):
+def run_table(fn, name: str, scale: str | None = None, shuffle_partitions: int = 16):
     from repro.harness.tables import df_to_markdown, to_markdown
 
     scale = scale or (sys.argv[1] if len(sys.argv) > 1 else "mini")
-    spark = get_spark()
+    spark = get_spark(shuffle_partitions)
     df = fn(spark, scale)
     path = to_markdown(df, f"{name}_{scale}")
     print(df_to_markdown(df))

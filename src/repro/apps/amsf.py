@@ -51,7 +51,7 @@ def amsf(
     b = _buckets(w, eps)
     nb = int(b.max()) + 1 if len(b) else 0
     st = UFState(n)
-    union = make_union(_SPEC, st, record_forest=False)
+    union = make_union(_SPEC, st)
     out_u, out_v, out_w = [], [], []
     edges_scanned = 0
 

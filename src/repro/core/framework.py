@@ -5,8 +5,7 @@ with any finish method:
 
 - Union-find finishes run on the original vertex space, seeded with the
   sampled labeling, skipping edges out of the most frequent component
-  (Algorithm 7's filter). They execute either on the driver or partitioned
-  across Spark tasks (``spark_uf=True``).
+  (Algorithm 7's filter), as one union-find pass on the driver.
 - Other min-based finishes (Liu-Tarjan / Stergiou / SV / Label-Propagation)
   compose by *contraction* (the composability view of Definition 3.1):
   sampled components become contracted vertices, with the most frequent
@@ -84,8 +83,6 @@ def connectivity(
     sampling: str = "none",
     finish: str = "uf-rem-cas",
     uf_spec: UFSpec | None = None,
-    spark_uf: bool = False,
-    num_partitions: int = 8,
     sampling_opts: dict | None = None,
 ) -> tuple[np.ndarray, dict]:
     """ConnectIt connectivity (Algorithm 1). Returns (canonical labels, info)."""
@@ -94,8 +91,7 @@ def connectivity(
     sample_time = time.perf_counter() - t0
     return finish_with_sample(
         spark, g, sample, finish,
-        sampling=sampling, sample_time=sample_time,
-        uf_spec=uf_spec, spark_uf=spark_uf, num_partitions=num_partitions,
+        sampling=sampling, sample_time=sample_time, uf_spec=uf_spec,
     )
 
 
@@ -107,8 +103,6 @@ def finish_with_sample(
     sampling: str = "none",
     sample_time: float = 0.0,
     uf_spec: UFSpec | None = None,
-    spark_uf: bool = False,
-    num_partitions: int = 8,
 ) -> tuple[np.ndarray, dict]:
     """Finish phase only, over a precomputed SampleResult.
 
@@ -131,18 +125,8 @@ def finish_with_sample(
         if spec.variant != finish:
             raise ValueError(f"uf_spec variant {spec.variant} does not match finish {finish}")
         skip = frequent if sampling != "none" else None
-        # Both finishes are looked up on uf_finish, the one module a tracing
-        # wrapper (perfbench/spans.py) patches for the whole finish layer.
-        if spark_uf:
-            labels, st = uf_finish.uf_components_spark(
-                spark, g.df(spark), g.n, spec,
-                init_labels=sample.labels, skip_label=skip, num_partitions=num_partitions,
-            )
-        else:
-            edges = np.stack([g.src, g.dst], axis=1)
-            labels, st = uf_finish.run_components(
-                g.n, edges, spec, labels=sample.labels, skip_label=skip
-            )
+        edges = np.stack([g.src, g.dst], axis=1)
+        labels, st = uf_finish.run_components(g.n, edges, spec, labels=sample.labels, skip_label=skip)
         init = sample.labels
         info["finish_edges"] = int((init[g.src] != frequent).sum()) if sampling != "none" else g.m_directed
         info["counters"] = st.c.as_dict()

@@ -9,7 +9,8 @@ components are contracted with a union-find algorithm. BFS and LDD sampling
 run on the dataflow kernels.
 
 Each sampler returns a :class:`SampleResult` with the labeling, the partial
-spanning forest (Definition B.2), and the metrics reported in Tables 6/7:
+spanning forest (Definition B.2) as a ``(k, 2)`` int64 edge array, and the
+metrics reported in Tables 6/7:
 sampling time, coverage of the most frequent component, and the fraction of
 inter-component edges remaining.
 """
@@ -44,7 +45,7 @@ def identify_frequent(labels: np.ndarray) -> tuple[int, int]:
 @dataclass
 class SampleResult:
     labels: np.ndarray  # height-1 composable labeling
-    forest: list[tuple[int, int]] = field(default_factory=list)
+    forest: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
     time_s: float = 0.0
     edges_processed: int = 0  # the paper's Y metric
     rounds: int = 0
@@ -132,15 +133,22 @@ def kout_sample(
         rows = rows.join(deg, rows.dst == deg.dv)
         picks = [(f"({n} - deg) * {n} + dst", 1), (rand, k - 1)]
     pairs = _pick_pairs(rows, picks)
-    labels, st = run_components(n, pairs, uf_spec or UFSpec("uf-rem-cas", "naive", "split-one"), record_forest=True)
+    labels, st = run_components(n, pairs, uf_spec or UFSpec("uf-rem-cas", "naive", "split-one"))
     # full compression already applied: labeling is height-1 (roots + leaves)
     return SampleResult(
         labels=labels,
-        forest=list(st.forest.values()),
+        forest=st.forest,
         time_s=time.perf_counter() - t0,
         edges_processed=len(pairs),
         info={"variant": variant, "k": k, "counters": st.c.as_dict()},
     )
+
+
+def _tree_edges(tree) -> np.ndarray:
+    """The ``(parent, v)`` edges of a BFS/LDD tree frame, roots dropped."""
+    v, p = tree["v"].to_numpy(np.int64), tree["parent"].to_numpy(np.int64)
+    keep = v != p
+    return np.stack([p[keep], v[keep]], axis=1)
 
 
 def bfs_sample(
@@ -153,7 +161,7 @@ def bfs_sample(
     edges = g.df(spark)
     degs = g.degrees()
     labels = np.arange(g.n, dtype=np.int64)
-    forest: list[tuple[int, int]] = []
+    forest = np.empty((0, 2), dtype=np.int64)
     rounds = 0
     edges_processed = 0
     for _ in range(c):
@@ -164,7 +172,7 @@ def bfs_sample(
         edges_processed += int(degs[vs].sum())
         if len(vs) > coverage_cutoff * g.n:
             labels[vs] = src
-            forest = [(int(p), int(v)) for v, p in tree[["v", "parent"]].to_numpy() if v != p]
+            forest = _tree_edges(tree)
             break
     return SampleResult(
         # canonical min-id roots keep the min-ordering invariant that the
@@ -185,10 +193,9 @@ def ldd_sample(
     lab, rounds = ldd_labels(spark, g.df(spark), g.n, beta=beta, seed=seed, permute=permute)
     labels = np.arange(g.n, dtype=np.int64)
     labels[lab["v"].to_numpy()] = lab["center"].to_numpy()
-    forest = [(int(p), int(v)) for v, p in lab[["v", "parent"]].to_numpy() if v != p]
     return SampleResult(
         labels=canonicalize(labels),
-        forest=forest,
+        forest=_tree_edges(lab),
         time_s=time.perf_counter() - t0,
         edges_processed=g.m_directed,
         rounds=rounds,

@@ -7,7 +7,8 @@ unique vertex (Definition B.2 requirement 3). Sampling methods emit the
 partial forest corresponding to their partial labeling (k-out: hook edges of
 the sampling union-find; BFS/LDD: tree parent edges), and the finish phase
 runs on the original vertex space seeded with the sampled labels — the union
-of the two forests spans G (Theorem 7).
+of the two forests spans G (Theorem 7). Every forest is a ``(k, 2)`` int64
+array of ``(u, v)`` edges.
 
 Supported finish methods: every union-find variant (all root-based) and
 Shiloach-Vishkin. The non-root-based Liu-Tarjan variants, Stergiou, and
@@ -63,7 +64,7 @@ def _sv_forest(n: int, edges: np.ndarray, init: np.ndarray | None, skip: int | N
                 break
             p = pp
         if np.array_equal(p, prev):
-            return p, list(forest.values()), rounds
+            return p, np.array(list(forest.values()), dtype=np.int64).reshape(-1, 2), rounds
 
 
 def spanning_forest(
@@ -72,11 +73,9 @@ def spanning_forest(
     sampling: str = "none",
     finish: str = "uf-rem-cas",
     uf_spec: UFSpec | None = None,
-    spark_uf: bool = False,
-    num_partitions: int = 8,
     sampling_opts: dict | None = None,
-) -> tuple[np.ndarray, list[tuple[int, int]], dict]:
-    """Algorithm 2. Returns (canonical labels, forest edge list, info)."""
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Algorithm 2. Returns (canonical labels, (k, 2) forest edges, info)."""
     t0 = time.perf_counter()
     sample = run_sampling(spark, g, sampling, **(sampling_opts or {}))
     frequent, _ = identify_frequent(sample.labels)
@@ -86,17 +85,8 @@ def spanning_forest(
     edges = np.stack([g.src, g.dst], axis=1)
     if finish in UF_FINISHES:
         spec = uf_spec or _default_spec(finish)
-        if spark_uf:
-            labels, st = uf_finish.uf_components_spark(
-                spark, g.df(spark), g.n, spec,
-                init_labels=sample.labels, skip_label=skip,
-                record_forest=True, num_partitions=num_partitions,
-            )
-        else:
-            labels, st = uf_finish.run_components(
-                g.n, edges, spec, labels=sample.labels, skip_label=skip, record_forest=True
-            )
-        finish_forest = list(st.forest.values())
+        labels, st = uf_finish.run_components(g.n, edges, spec, labels=sample.labels, skip_label=skip)
+        finish_forest = st.forest
     elif finish == "sv":
         labels, finish_forest, rounds = _sv_forest(g.n, edges, sample.labels if sampling != "none" else None, skip)
         info["rounds"] = rounds
@@ -105,5 +95,5 @@ def spanning_forest(
             f"finish {finish!r} is not root-based; spanning forest supports {UF_FINISHES + ('sv',)}"
         )
     info["finish_time_s"] = time.perf_counter() - t1
-    forest = list(sample.forest) + finish_forest
+    forest = np.concatenate([sample.forest, finish_forest])
     return canonicalize(labels), forest, info

@@ -10,7 +10,7 @@ unit of work of a union or a query is one batch: ``make_union`` builds
 one loop over its pairs that adds its counts up in local variables and adds
 them to the counters once per call; finds and splices stay per-element and
 count the same way. Numpy arrays appear only at the edges (``run_components``
-input, ``UFState.compress_all`` output). Vertex ids are validated once per
+input and forest, ``UFState.compress_all`` output). Vertex ids are validated once per
 batch at that boundary (``as_edges``), and a batch reaches the loop as two
 flat int lists zipped into pairs (``core.id_pairs``): a Python object per
 pair would set off CPython's cyclic garbage collector every ~700 pairs. Scheduling

@@ -75,7 +75,9 @@ class UFState:
     ``parent`` (and ``hooks``/``prio``) are plain Python lists that live as
     long as the state: the kernel's closures hold references to them, so they
     are only ever updated in place. Numpy arrays appear only at the edges
-    (``compress_all``).
+    (``compress_all``, ``forest``). ``forest`` is the ``(k, 2)`` int64 array
+    of the edges that hooked a root, in hook order; ``run_components`` fills
+    it, and a state driven through ``make_union`` directly keeps it empty.
     """
 
     __slots__ = ("parent", "hooks", "prio", "c", "forest")
@@ -88,8 +90,7 @@ class UFState:
         self.hooks: list[int] | None = None  # UF-Hooks
         self.prio: list[int] | None = None  # UF-JTB random priorities
         self.c = Counters()
-        # spanning forest: forest[r] = index of the edge that hooked root r
-        self.forest: dict[int, tuple[int, int]] = {}
+        self.forest = np.empty((0, 2), dtype=np.int64)
 
     def ensure_hooks(self) -> list[int]:
         if self.hooks is None:
@@ -157,7 +158,6 @@ def run_components(
     spec: UFSpec,
     labels: np.ndarray | None = None,
     skip_label: int | None = None,
-    record_forest: bool = False,
     seed: int = 0,
 ) -> tuple[np.ndarray, UFState]:
     """Run a union-find variant over an edge array ((k,2) integer ids in [0, n)).
@@ -165,16 +165,17 @@ def run_components(
     ``labels`` seeds the parents array (e.g. from a sampling phase);
     ``skip_label`` skips edges whose *source's initial label* equals the
     most-frequent sampled component (Algorithm 7's filter). Returns the fully
-    compressed labeling and the state (counters + forest hooks).
+    compressed labeling and the state: its counters, and in ``st.forest``
+    the edges (after the filter) that hooked a root, in hook order.
     """
     from repro.unionfind.variants import make_union
 
     edges = as_edges(edges, n)
     st = UFState(n, labels, seed=seed)
-    union = make_union(spec, st, record_forest=record_forest)
+    union = make_union(spec, st)
     if skip_label is not None and labels is not None:
         init = np.asarray(labels, dtype=np.int64)
         edges = edges[init[edges[:, 0]] != skip_label]
     # Python ints, not numpy rows: iterating numpy rows costs ~5x more per edge
-    union(id_pairs(edges))
+    st.forest = edges[union(id_pairs(edges))]
     return st.compress_all(), st

@@ -33,7 +33,7 @@ def valid_specs() -> list[UFSpec]:
     return specs
 
 
-def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
+def make_union(spec: UFSpec, st: UFState):
     """Build ``union(pairs) -> hooked`` for one spec.
 
     ``pairs`` is any iterable of ``(u, v)`` vertex-id pairs, applied in
@@ -44,10 +44,11 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
     reads/writes, CAS attempts/failures, hooks and unions (the pairs the
     loop consumed) add up in local variables and go into the counters once,
     when it returns. The finds and splices it calls stay per-element and count
-    themselves. With ``record_forest``, ``st.forest[r] = (u, v)`` records the
-    pair that hooked root ``r``.
+    themselves. The hooked pairs are the spanning-forest edges, one per
+    hooked root; ``union`` stores none of them (``run_components`` sets
+    ``st.forest`` to its edges at ``hooked``).
     """
-    c, P, F = st.c.a, st.parent, st.forest
+    c, P = st.c.a, st.parent
 
     def _count(k, hooked, reads, writes, tries, fails) -> list[int]:
         c[READS] += reads
@@ -78,8 +79,6 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
                         if P[pu] == pu:  # CAS(&P[pu], pu, pv)
                             P[pu] = pv
                             hooked.append(i)
-                            if record_forest:
-                                F[pu] = (u, v)
                             break
                         fails += 1
             return _count(i + 1, hooked, reads, tries - fails, tries, fails)
@@ -109,8 +108,6 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
                         H[pu] = pv
                         P[pu] = pv
                         hooked.append(i)
-                        if record_forest:
-                            F[pu] = (u, v)
                         break
             hooks = len(hooked)
             return _count(i + 1, hooked, reads, 2 * hooks, tries, tries - hooks)
@@ -141,8 +138,6 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
                         if P[ru] == ru:  # CAS(&P[ru], ru, rv)
                             P[ru] = rv
                             hooked.append(i)
-                            if record_forest:
-                                F[ru] = (u, v)
                             break
                         fails += 1
                     else:
@@ -181,8 +176,6 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
                                 P[ru] = pv2
                                 writes += 1
                                 hooked.append(i)
-                                if record_forest:
-                                    F[ru] = (u, v)
                                 break
                         else:
                             tries += 1
@@ -190,8 +183,6 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
                                 P[ru] = pv
                                 writes += 1
                                 hooked.append(i)
-                                if record_forest:
-                                    F[ru] = (u, v)
                                 break
                             fails += 1
                     else:
@@ -228,8 +219,6 @@ def make_union(spec: UFSpec, st: UFState, record_forest: bool = False):
                         if P[pu] == pu:  # CAS(&P[pu], pu, pv)
                             P[pu] = pv
                             hooked.append(i)
-                            if record_forest:
-                                F[pu] = (u, v)
                             break
                         fails += 1
             return _count(i + 1, hooked, reads, tries - fails, tries, fails)

@@ -78,16 +78,6 @@ def test_minbased_contraction_shrinks_graph(spark):
     assert info["finish_edges"] < G.m_directed / 5
 
 
-def test_spark_uf_path(spark):
-    labels, _ = connectivity(spark, G, "kout", "uf-rem-cas", spark_uf=True, num_partitions=4)
-    assert same_partition(labels, TRUTH)
-
-
-def test_spark_uf_no_sampling(spark):
-    labels, _ = connectivity(spark, G, "none", "uf-async", spark_uf=True, num_partitions=3)
-    assert same_partition(labels, TRUTH)
-
-
 def test_custom_uf_spec(spark):
     labels, _ = connectivity(
         spark, G, "none", "uf-rem-lock", uf_spec=UFSpec("uf-rem-lock", "halve", "splice")

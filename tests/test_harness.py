@@ -65,10 +65,9 @@ def test_to_markdown(tmp_path, monkeypatch):
     assert path.read_text().startswith("|")
 
 
-def test_jobs_common_puts_src_on_worker_path(tmp_path):
+def test_jobs_common_puts_src_on_driver_path(tmp_path):
     """jobs/_common.py works from a bare checkout: importing it makes
-    ``repro`` importable on the driver and exports ``src`` on PYTHONPATH,
-    which the Spark JVM (started later) hands to its Python workers."""
+    ``repro`` importable on the driver, from the checkout's ``src``."""
     import os
     import subprocess
     import sys
@@ -76,12 +75,12 @@ def test_jobs_common_puts_src_on_worker_path(tmp_path):
 
     root = Path(__file__).resolve().parent.parent
     code = (
-        "import os, sys; sys.path.insert(0, sys.argv[1]); import _common, repro; "
-        "print(os.environ['PYTHONPATH'])"
+        "import sys; sys.path.insert(0, sys.argv[1]); import _common, repro; "
+        "print(repro.__file__)"
     )
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYSPARK_SUBMIT_ARGS")}
     out = subprocess.run(
         [sys.executable, "-c", code, str(root / "jobs")],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert out.stdout.strip().split(os.pathsep)[0] == str(root / "src")
+    assert out.stdout.strip() == str(root / "src" / "repro" / "__init__.py")

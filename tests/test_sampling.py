@@ -42,9 +42,10 @@ def _assert_composable(g, truth, labels):
 def _assert_forest(g, labels, forest):
     # Definition B.2: forest edges are real edges, at most one per vertex,
     # and contracting them induces exactly the sampled labeling.
+    assert forest.dtype == np.int64 and forest.ndim == 2 and forest.shape[1] == 2
     pairs = set(zip(g.src.tolist(), g.dst.tolist()))
-    assert all((u, v) in pairs for u, v in forest)
-    assert len(forest) == len(set(forest))
+    assert all((u, v) in pairs for u, v in forest.tolist())
+    assert len(forest) == len(set(map(tuple, forest.tolist())))
     fe = np.array(forest, dtype=np.int64).reshape(-1, 2)
     fl = cc_labels(
         g.n,
@@ -159,7 +160,7 @@ def test_bfs_sample_composable(spark, cw, cw_truth):
 
 def test_bfs_sample_forest(spark, cw):
     s = bfs_sample(spark, cw, seed=1)
-    if s.forest:  # found the massive component
+    if len(s.forest):  # found the massive component
         _assert_forest(cw, s.labels, s.forest)
 
 

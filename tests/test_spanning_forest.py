@@ -14,8 +14,9 @@ N_COMP = num_components(TRUTH)
 
 
 def _assert_valid_forest(g, truth, forest):
+    assert forest.dtype == np.int64 and forest.ndim == 2 and forest.shape[1] == 2
     pairs = set(zip(g.src.tolist(), g.dst.tolist()))
-    assert all((u, v) in pairs for u, v in forest), "forest edge not in graph"
+    assert all((u, v) in pairs for u, v in forest.tolist()), "forest edge not in graph"
     assert len(forest) == g.n - num_components(truth), "wrong forest size"
     fe = np.array(forest, dtype=np.int64).reshape(-1, 2)
     fl = cc_labels(
@@ -29,12 +30,6 @@ def _assert_valid_forest(g, truth, forest):
 @pytest.mark.parametrize("finish", ["uf-rem-cas", "uf-async", "uf-hooks", "uf-early", "uf-rem-lock", "uf-jtb", "sv"])
 def test_forest_matrix(spark, sampling, finish):
     labels, forest, info = spanning_forest(spark, G, sampling, finish)
-    assert same_partition(labels, TRUTH)
-    _assert_valid_forest(G, TRUTH, forest)
-
-
-def test_forest_spark_uf(spark):
-    labels, forest, _ = spanning_forest(spark, G, "kout", "uf-rem-cas", spark_uf=True, num_partitions=4)
     assert same_partition(labels, TRUTH)
     _assert_valid_forest(G, TRUTH, forest)
 

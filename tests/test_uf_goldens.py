@@ -2,9 +2,9 @@
 
 ``snapshot()`` runs every spec of ``valid_specs()`` on two tiny suite graphs
 (a plain run and a run seeded with a partial labeling plus the frequent-label
-skip, both recording the forest) and every streaming algorithm on one fixed
-20-batch stream. Counters are kept exactly; labels, forests and query answers
-as SHA-256 digests of their exact values. ``data/uf_goldens.json`` holds a
+skip; each forest edge is keyed by the root it hooked) and every streaming
+algorithm on one fixed 20-batch stream. Counters are kept exactly; labels,
+forests and query answers as SHA-256 digests of their exact values. ``data/uf_goldens.json`` holds a
 snapshot; regenerate it only for an intended change in the kernel's work:
 
     PYTHONPATH=src python tests/test_uf_goldens.py > tests/data/uf_goldens.json
@@ -22,7 +22,7 @@ import pytest
 from repro.core.streaming import StreamingConnectIt
 from repro.graphs import suite
 from repro.graphs.ground_truth import cc_labels
-from repro.unionfind import run_components
+from repro.unionfind import UFState, make_union, run_components
 from repro.unionfind.variants import valid_specs
 
 GOLDENS = Path(__file__).parent / "data" / "uf_goldens.json"
@@ -43,9 +43,33 @@ def _counts(d: dict) -> list[int]:
     return [int(d[k]) for k in COUNTERS]
 
 
+def _hooked_roots(n: int, edges: np.ndarray, spec, labels=None, skip_label=None) -> list[int]:
+    """The root each hook links, in hook order, from a replay that applies
+    one pair per ``union`` call: the hooked root is the one root of the two
+    endpoints that stops being its own parent in that call."""
+    st = UFState(n, labels)
+    union, P = make_union(spec, st), st.parent
+    if skip_label is not None:
+        edges = edges[labels[edges[:, 0]] != skip_label]
+
+    def root(x: int) -> int:
+        while P[x] != x:
+            x = P[x]
+        return x
+
+    roots = []
+    for u, v in edges.tolist():
+        ru, rv = root(u), root(v)
+        if union([(u, v)]):
+            roots.append(ru if P[ru] != ru else rv)
+    return roots
+
+
 def _static_case(n: int, edges: np.ndarray, spec, **seed) -> list:
-    labels, st = run_components(n, edges, spec, record_forest=True, **seed)
-    forest = [(r, u, v) for r, (u, v) in st.forest.items()]
+    labels, st = run_components(n, edges, spec, **seed)
+    roots = _hooked_roots(n, edges, spec, **seed)
+    assert len(roots) == len(st.forest)
+    forest = [(r, u, v) for r, (u, v) in zip(roots, st.forest.tolist())]
     return [_digest(labels), _digest(forest), _counts(st.c.as_dict())]
 
 

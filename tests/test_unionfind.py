@@ -53,11 +53,11 @@ def test_adversarial_orders(spec):
 def test_forest_size(spec):
     g = GRAPHS["multi"]
     truth = cc_labels(g.n, g.src, g.dst)
-    labels, st = run_components(g.n, _edges(g), spec, record_forest=True)
+    labels, st = run_components(g.n, _edges(g), spec)
     assert len(st.forest) == g.n - num_components(truth)
     # forest edges are real edges and contracting them reproduces the labels
     pairs = set(zip(g.src.tolist(), g.dst.tolist()))
-    fe = list(st.forest.values())
+    fe = st.forest.tolist()
     assert all((u, v) in pairs for u, v in fe)
     fl = cc_labels(
         g.n,
@@ -67,17 +67,39 @@ def test_forest_size(spec):
     assert same_partition(fl, truth)
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
-def test_hooked_indices_are_forest(spec):
-    """``union(pairs)`` returns, in order, the indices of the pairs that the
-    forest records, one per hook."""
+@pytest.mark.parametrize(
+    "spec,seeded",
+    [(s, False) for s in SPECS] + [(UFSpec("uf-rem-cas", "naive", "split-one"), True)],
+    ids=SPEC_IDS + ["uf-rem-cas/naive/split-one/seeded-skip"],
+)
+def test_hooked_indices_are_forest(spec, seeded):
+    """``union(pairs)`` returns, in order, the indices of the pairs that hooked
+    a root, one per hook; ``run_components``'s forest is exactly those edges.
+    Seeded with a partial labeling and skipping its most frequent label, the
+    indices are into the edges left after the filter, so every forest row is
+    an edge whose source's initial label is not the skipped one."""
     g = GRAPHS["rmat"]
-    pairs = _edges(g).tolist()
-    st = UFState(g.n)
-    hooked = make_union(spec, st, record_forest=True)(pairs)
-    assert [tuple(pairs[i]) for i in hooked] == list(st.forest.values())
-    assert len(hooked) == st.c.as_dict()["hooks"] == g.n - num_components(cc_labels(g.n, g.src, g.dst))
+    edges = kept = _edges(g)
+    labels = skip = None
+    if seeded:
+        half = np.random.default_rng(3).random(len(edges)) < 0.5
+        labels = cc_labels(g.n, g.src[half], g.dst[half])
+        vals, counts = np.unique(labels, return_counts=True)
+        skip = int(vals[np.argmax(counts)])
+        kept = edges[labels[edges[:, 0]] != skip]
+        assert 0 < len(kept) < len(edges)
+    st = UFState(g.n, labels)
+    hooked = make_union(spec, st)(kept.tolist())
+    forest = run_components(g.n, edges, spec, labels=labels, skip_label=skip)[1].forest
+    assert forest.dtype == np.int64 and forest.shape == (len(hooked), 2)
+    assert np.array_equal(forest, kept[hooked])
+    assert len(hooked) == st.c.as_dict()["hooks"]
     assert hooked == sorted(set(hooked))
+    if seeded:
+        assert len(hooked) > 0
+        assert (labels[forest[:, 0]] != skip).all()
+    else:
+        assert len(hooked) == g.n - num_components(cc_labels(g.n, g.src, g.dst))
 
 
 def test_invalid_combination_rejected():

@@ -82,14 +82,13 @@ def test_batch_split_invariance(pairs, data):
     spec = data.draw(st.sampled_from(valid_specs()))
     cuts = _cuts(data, len(e))
     one, many = UFState(30), UFState(30)
-    hooked = make_union(spec, one, record_forest=True)(e)
-    union = make_union(spec, many, record_forest=True)
+    hooked = make_union(spec, one)(e)
+    union = make_union(spec, many)
     split = []
     for lo, hi in zip([0, *cuts], [*cuts, len(e)]):
         split += [lo + i for i in union(e[lo:hi])]
     assert split == hooked
     assert many.c.as_dict() == one.c.as_dict()
-    assert many.forest == one.forest
     assert many.compress_all().tolist() == one.compress_all().tolist()
 
 
@@ -102,13 +101,12 @@ def test_iterator_input_matches_list_input(pairs, queries, data):
     iterator, from which the counters count no union and no find."""
     spec = data.draw(st.sampled_from(valid_specs()))
     by_list, by_zip = UFState(30), UFState(30)
-    hooked = make_union(spec, by_list, record_forest=True)(pairs)
-    union = make_union(spec, by_zip, record_forest=True)
+    hooked = make_union(spec, by_list)(pairs)
+    union = make_union(spec, by_zip)
     assert union(iter(())) == []
     assert by_zip.c.as_dict() == UFState(30).c.as_dict()
     assert union(zip([u for u, _ in pairs], [v for _, v in pairs])) == hooked
     assert by_zip.c.as_dict() == by_list.c.as_dict()
-    assert by_zip.forest == by_list.forest
     answers = make_connected(by_list)(queries)
     connected = make_connected(by_zip)
     assert connected(iter(())) == []
