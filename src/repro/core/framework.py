@@ -10,8 +10,11 @@ with any finish method:
   compose by *contraction* (the composability view of Definition 3.1):
   sampled components become contracted vertices, with the most frequent
   component mapped to contracted id 0 — the smallest possible ID, so its
-  vertices are never relabeled (Theorem 5) — and the finish method runs as a
-  dataflow iteration over the contracted inter-component edges only.
+  vertices are never relabeled (Theorem 5) — and the finish method runs its
+  rounds over the contracted inter-component edges only. Those few edges stay
+  on the driver as a ``(src, dst)`` array pair, so each round's edgeMap is a
+  numpy pass and no Spark job runs after sampling. Unsampled min-based
+  finishes run over the graph's DataFrame, one Spark edgeMap per round.
 
 Returns canonicalized labels plus an info dict with per-phase times, the
 number of edges processed in the finish phase, rounds, and UF counters.
@@ -25,7 +28,7 @@ from pyspark.sql import SparkSession
 
 from repro.core import minbased, sampling as sampling_mod, uf_finish
 from repro.core.sampling import identify_frequent
-from repro.graphs.generators import Graph, edge_frame
+from repro.graphs.generators import Graph
 from repro.graphs.ground_truth import canonicalize
 from repro.unionfind import UFSpec
 
@@ -144,7 +147,7 @@ def finish_with_sample(
                 labels = sample.labels.copy()
                 rounds = 0
             else:
-                clabels, rounds = runner(spark, edge_frame(spark, pairs[:, 0], pairs[:, 1]), nc)
+                clabels, rounds = runner(spark, (pairs[:, 0], pairs[:, 1]), nc)
                 labels = clabels[cid]
         info["rounds"] = rounds
     info["finish_time_s"] = time.perf_counter() - t1

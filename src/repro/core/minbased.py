@@ -4,15 +4,19 @@ Implements the full Liu-Tarjan framework (all 16 rule combinations of
 Appendix D.4), Stergiou's two-array algorithm, Shiloach-Vishkin, and
 Label-Propagation. Every candidate rule of these algorithms is a per-vertex
 minimum over neighbours, so each synchronous round is one ``_edge_map`` over
-the edge table (the dataflow analog of Ligra's edgeMap) and nothing else
-touches Spark. The parents array P has n entries and lives on the driver as
-numpy, as the BFS and LDD frontiers do: writeMin, RootUp, shortcutting and the
-stop test run there, while the m edges never move.
+the edge table (the dataflow analog of Ligra's edgeMap), the only call that
+touches the edges. The parents array P has n entries and lives on the driver
+as numpy, as the BFS and LDD frontiers do: writeMin, RootUp, shortcutting and
+the stop test run there, while the edges never move.
 
-All functions take a *symmetric* edges DataFrame over vertices [0, n): every
-edge (u, v) is also present as (v, u). Symmetry lets a candidate pair of an
-edge (s, d) be computed at d from d's minimum neighbour payload. An endpoint
-outside [0, n) raises ValueError. Each returns ``(labels ndarray, rounds)``.
+All functions take a *symmetric* edge table over vertices [0, n), in either
+of ``_edge_map``'s substrates: a Spark DataFrame (an unsampled finish over the
+graph's m edges; each round is one Spark query) or a driver ``(src, dst)``
+pair of int64 arrays (the contracted edges of a sampled finish; no Spark job
+runs). Every edge (u, v) is also present as (v, u). Symmetry lets a candidate
+pair of an edge (s, d) be computed at d from d's minimum neighbour payload.
+An endpoint outside [0, n) raises ValueError. Each returns
+``(labels ndarray, rounds)``, the same on both substrates.
 Sampling composes via contraction in ``repro.core.framework`` (Theorem 5):
 the frequent component becomes contracted vertex 0, the smallest possible ID,
 so it is never relabeled.
@@ -23,9 +27,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
-from repro.dataflow.edgemap import _edge_map
+from repro.dataflow.edgemap import Edges, _edge_map
 
 MAX_ROUNDS = 500
 
@@ -63,7 +67,7 @@ class LTSpec:
 
 
 def _neighbour_min(
-    spark: SparkSession, E: DataFrame, n: int, payload: np.ndarray, src: np.ndarray | None = None
+    spark: SparkSession, E: Edges, n: int, payload: np.ndarray, src: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(d, m)``: every vertex d adjacent to ``src`` (default: every vertex)
     and the minimum ``payload`` over its neighbours in ``src``."""
@@ -102,7 +106,7 @@ def _iterate(
 
 
 def liu_tarjan(
-    spark: SparkSession, edges_df: DataFrame, n: int, spec: LTSpec | str = "crfa"
+    spark: SparkSession, edges: Edges, n: int, spec: LTSpec | str = "crfa"
 ) -> tuple[np.ndarray, int]:
     """Run one Liu-Tarjan variant to convergence."""
     if isinstance(spec, str):
@@ -119,13 +123,13 @@ def liu_tarjan(
         if spec.connect == "connect":
             # Connect: the edge endpoints are candidates for each other
             # (requires Alter for correctness, as in Liu-Tarjan).
-            d, m = _neighbour_min(spark, edges_df, n, f)
+            d, m = _neighbour_min(spark, edges, n, f)
             x = f[d]
         else:
             # ParentConnect: P[dst] is a candidate for P[src] — the update
             # lands at the *parent*, which under RootUp is the round-start
             # root once trees are flat (Liu-Tarjan's P-* algorithms).
-            d, m = _neighbour_min(spark, edges_df, n, P[f])
+            d, m = _neighbour_min(spark, edges, n, P[f])
             x = P[f[d]]
             if spec.connect == "extended":  # P[dst] is also a candidate for src itself
                 x, m = np.concatenate([x, f[d]]), np.concatenate([m, m])
@@ -138,7 +142,7 @@ def liu_tarjan(
     return _iterate(n, step, f"Liu-Tarjan {spec}")
 
 
-def stergiou(spark: SparkSession, edges_df: DataFrame, n: int) -> tuple[np.ndarray, int]:
+def stergiou(spark: SparkSession, edges: Edges, n: int) -> tuple[np.ndarray, int]:
     """Stergiou et al.'s BSP algorithm: ParentConnect from a *previous* parents
     array, min-update into the current one, then Shortcut (paper B.2.5)."""
     # the round-start P one round back; rounds 1 and 2 both read the identity
@@ -147,19 +151,19 @@ def stergiou(spark: SparkSession, edges_df: DataFrame, n: int) -> tuple[np.ndarr
     def step(P: np.ndarray) -> np.ndarray:
         nonlocal prev
         old, prev = prev, P
-        P = _write_min(P, *_neighbour_min(spark, edges_df, n, old))
+        P = _write_min(P, *_neighbour_min(spark, edges, n, old))
         return P[P]
 
     return _iterate(n, step, "Stergiou")
 
 
-def shiloach_vishkin(spark: SparkSession, edges_df: DataFrame, n: int) -> tuple[np.ndarray, int]:
+def shiloach_vishkin(spark: SparkSession, edges: Edges, n: int) -> tuple[np.ndarray, int]:
     """Shiloach-Vishkin with writeMin hooks on round-start roots and full
     pointer jumping per round (paper Algorithm 15)."""
 
     def step(P: np.ndarray) -> np.ndarray:
         # hook each endpoint parent x onto its smaller neighbour parent, if x is a root
-        d, m = _neighbour_min(spark, edges_df, n, P)
+        d, m = _neighbour_min(spark, edges, n, P)
         x = P[d]
         hook = (m < x) & (P[x] == x)
         return _full_shortcut(_write_min(P, x[hook], m[hook]))
@@ -167,14 +171,14 @@ def shiloach_vishkin(spark: SparkSession, edges_df: DataFrame, n: int) -> tuple[
     return _iterate(n, step, "SV")
 
 
-def label_propagation(spark: SparkSession, edges_df: DataFrame, n: int) -> tuple[np.ndarray, int]:
+def label_propagation(spark: SparkSession, edges: Edges, n: int) -> tuple[np.ndarray, int]:
     """Folklore frontier-based min label propagation ((min, min)-SpMV): only
     the vertices lowered last round (all of them in round 1) send labels."""
     frontier = np.arange(n, dtype=np.int64)
 
     def step(P: np.ndarray) -> np.ndarray:
         nonlocal frontier
-        Q = _write_min(P, *_neighbour_min(spark, edges_df, n, P[frontier], frontier))
+        Q = _write_min(P, *_neighbour_min(spark, edges, n, P[frontier], frontier))
         frontier = np.flatnonzero(Q < P)
         return Q
 

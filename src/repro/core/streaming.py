@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.unionfind import UFSpec, UFState, make_union
-from repro.unionfind.core import READS, UNIONS, WRITES, as_edges, id_pairs
+from repro.unionfind.core import READS, UNIONS, WRITES, as_batches, id_pairs
 from repro.unionfind.finds import make_connected
 
 
@@ -71,8 +71,7 @@ class StreamingConnectIt:
         Types 2 and 3 apply all updates first, then answer queries. Every
         type answers queries with ``connected``: two naive finds per query.
         """
-        updates = as_edges(updates, self.n)
-        queries = as_edges([] if queries is None else queries, self.n)
+        updates, queries = as_batches(self.n, updates, [] if queries is None else queries)
         if self.type == 2:
             self._batch_rounds(updates)
             self.state.c.a[UNIONS] += len(updates)

@@ -18,7 +18,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.unionfind.core import as_edges
+from repro.unionfind.core import as_batches
 
 
 def _dedupe_symmetrize(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -27,7 +27,7 @@ def _dedupe_symmetrize(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.nda
     Vertex ids must be integers in ``[0, n)`` (``ValueError`` otherwise) and
     fit in 31 bits so a pair packs into one int64 key.
     """
-    src, dst = as_edges(np.stack([np.asarray(src), np.asarray(dst)], axis=1), n).T
+    src, dst = as_batches(n, np.stack([np.asarray(src), np.asarray(dst)], axis=1))[0].T
     keep = src != dst
     src, dst = src[keep], dst[keep]
     a = np.concatenate([src, dst])
@@ -72,7 +72,7 @@ class Graph:
 
     def __post_init__(self) -> None:
         # np.stack raises ValueError too when src and dst differ in length
-        as_edges(np.stack([np.asarray(self.src), np.asarray(self.dst)], axis=1), self.n)
+        as_batches(self.n, np.stack([np.asarray(self.src), np.asarray(self.dst)], axis=1))
 
     @property
     def m(self) -> int:

@@ -11,7 +11,8 @@ one loop over its pairs that adds its counts up in local variables and adds
 them to the counters once per call; finds and splices stay per-element and
 count the same way. Numpy arrays appear only at the edges (``run_components``
 input and forest, ``UFState.compress_all`` output). Vertex ids are validated once per
-batch at that boundary (``as_edges``), and a batch reaches the loop as two
+batch at that boundary (``core.as_batches``: one range check, which covers a
+streaming batch's updates and queries together), and a batch reaches the loop as two
 flat int lists zipped into pairs (``core.id_pairs``): a Python object per
 pair would set off CPython's cyclic garbage collector every ~700 pairs. Scheduling
 nondeterminism is exercised in tests by permuting the operation order — the

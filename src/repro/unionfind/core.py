@@ -119,25 +119,32 @@ class UFState:
         return p
 
 
-def as_edges(edges, n: int) -> np.ndarray:
-    """Validate a batch of vertex-id pairs once, vectorized, at the API boundary.
+def as_batches(n: int, *batches) -> tuple[np.ndarray, ...]:
+    """Validate batches of vertex-id pairs together, vectorized, at the API boundary.
 
-    Returns a ``(k, 2)`` int64 array. Raises ``ValueError`` on a non-integer
-    dtype or an id outside ``[0, n)``; a list index would otherwise wrap a
-    negative id into a silently wrong partition. Empty input of any dtype is
-    the empty batch.
+    Returns one ``(k, 2)`` int64 array per batch. Raises ``ValueError`` on a
+    non-integer dtype, a shape that is not pairs, or an id outside ``[0, n)``
+    in any batch, so a bad batch is rejected before any of them is used; a
+    list index would otherwise wrap a negative id into a silently wrong
+    partition. Empty input of any dtype is the empty batch. The range check
+    is one reduction over every id at once: viewed as unsigned, a negative
+    id exceeds every valid one.
     """
-    a = np.asarray(edges)
-    if a.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if a.dtype.kind not in "iu":
-        raise ValueError(f"vertex ids must be integers, got dtype {a.dtype}")
-    if a.ndim == 0 or a.shape[-1] != 2:
-        raise ValueError(f"expected (u, v) pairs, got shape {a.shape}")
-    lo, hi = a.min(), a.max()
-    if lo < 0 or hi >= n:
+    arrays = []
+    for edges in batches:
+        a = np.asarray(edges)
+        if a.size == 0:
+            a = np.empty((0, 2), dtype=np.int64)
+        elif a.dtype.kind not in "iu":
+            raise ValueError(f"vertex ids must be integers, got dtype {a.dtype}")
+        elif a.shape[-1:] != (2,):
+            raise ValueError(f"expected (u, v) pairs, got shape {a.shape}")
+        arrays.append(a.reshape(-1, 2).astype(np.int64, copy=False))
+    ids = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    if len(ids) and int(ids.view(np.uint64).max()) >= n:
+        lo, hi = ids.min(), ids.max()
         raise ValueError(f"vertex id {lo if lo < 0 else hi} outside [0, {n})")
-    return a.reshape(-1, 2).astype(np.int64, copy=False)
+    return tuple(arrays)
 
 
 def id_pairs(edges: np.ndarray):
@@ -170,7 +177,7 @@ def run_components(
     """
     from repro.unionfind.variants import make_union
 
-    edges = as_edges(edges, n)
+    (edges,) = as_batches(n, edges)
     st = UFState(n, labels, seed=seed)
     union = make_union(spec, st)
     if skip_label is not None and labels is not None:

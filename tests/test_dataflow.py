@@ -97,6 +97,64 @@ def test_edge_map_rejects_bad_key(spark, bad):
         _edge_map(spark, e, 5, np.array([0, 1]), np.array([0, bad]))
 
 
+def test_edge_map_arrays_pack_key_and_src(spark):
+    """The driver arrays give the DataFrame path's packed minima, up to key = src = n - 1."""
+    n = 5
+    src = np.array([4, 2, 0, 3, 2, 4, 1, 3])
+    dst = np.array([0, 0, 1, 1, 2, 3, 3, 4])
+    frontier, key = np.array([0, 2, 3, 4]), np.array([4, 4, 1, 4])
+    want = _edge_map(spark, edge_frame(spark, src, dst), n, frontier, key)
+    d, k, s = _edge_map(spark, (src, dst), n, frontier, key)
+    got = np.argsort(want[0])
+    assert np.array_equal(d, want[0][got])
+    assert np.array_equal(k, want[1][got]) and np.array_equal(s, want[2][got])
+    # dst 1: the smaller key beats the smaller src; dst 3: key = src = n - 1
+    assert (k[1], s[1]) == (1, 3) and (k[3], s[3]) == (4, 4)
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_edge_map_arrays_reject_bad_key(spark, bad):
+    with pytest.raises(ValueError, match="key"):
+        _edge_map(spark, (np.array([0, 1]), np.array([1, 0])), 5, np.array([0, 1]), np.array([0, bad]))
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("end", ["src", "dst"])
+def test_edge_map_arrays_reject_bad_endpoint(spark, bad, end):
+    """An endpoint outside [0, n) at either end is an error, even when the
+    frontier does not reach it: a numpy index would wrap -1 to n - 1."""
+    ok, wrong = np.array([1, 0]), np.array([0, bad])
+    edges = (wrong, ok) if end == "src" else (ok, wrong)
+    with pytest.raises(ValueError, match="endpoint"):
+        _edge_map(spark, edges, 3, np.array([0]))
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_edge_map_rejects_bad_frontier(spark, bad):
+    with pytest.raises(ValueError, match="frontier"):
+        _edge_map(spark, (np.array([0, 1]), np.array([1, 0])), 3, np.array([0, bad]))
+
+
+def test_edge_map_arrays_duplicate_frontier(spark):
+    """A vertex listed twice counts with its smaller key, as in the DataFrame path."""
+    src, dst = np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1])
+    frontier, key = np.array([1, 2, 1, 2]), np.array([0, 1, 3, 2])
+    want = _edge_map(spark, edge_frame(spark, src, dst), 4, frontier, key)
+    d, k, s = _edge_map(spark, (src, dst), 4, frontier, key)
+    assert d.tolist() == [0, 1, 2] and k.tolist() == [0, 1, 0] and s.tolist() == [1, 2, 1]
+    got = np.argsort(want[0])
+    assert all(np.array_equal(a, b[got]) for a, b in zip((d, k, s), want))
+
+
+def test_edge_map_arrays_empty_frontier(spark, spark_jobs):
+    """An empty frontier reaches nothing, and the array path starts no Spark job."""
+    j0 = spark_jobs()
+    for key in (None, np.empty(0, dtype=np.int64)):
+        d, k, s = _edge_map(spark, (np.array([0, 1]), np.array([1, 0])), 2, np.empty(0, dtype=np.int64), key)
+        assert len(d) == len(s) == 0 and (k is None) == (key is None)
+    assert spark_jobs() == j0
+
+
 def test_ldd_covers_and_is_partial_labeling(spark, grid, grid_edges):
     lab, rounds = ldd_labels(spark, grid_edges, grid.n, beta=0.4, seed=2)
     pdf = lab.sort_values("v")

@@ -55,6 +55,20 @@ def test_matrix_edgeless(spark, scheme, finish):
     assert np.array_equal(labels, np.arange(EMPTY.n))
 
 
+@pytest.mark.parametrize("finish", MINBASED_FINISHES)
+@pytest.mark.parametrize("scheme", ["kout", "bfs", "ldd"])
+def test_contracted_finish_starts_no_spark_job(spark, spark_jobs, scheme, finish):
+    """A sampled min-based finish runs its rounds over the contracted edges
+    on the driver: zero Spark jobs, a count that timing noise cannot flip."""
+    if scheme not in _samples:
+        _samples[scheme] = run_sampling(spark, G, scheme)
+    j0 = spark_jobs()
+    labels, info = finish_with_sample(spark, G, _samples[scheme], finish, sampling=scheme)
+    assert spark_jobs() == j0, (scheme, finish)
+    assert info["finish_edges"] > 0 and info["rounds"] >= 1
+    assert same_partition(labels, TRUTH), (scheme, finish)
+
+
 def test_identify_frequent():
     lab = np.array([2, 2, 2, 7, 7, 9])
     assert identify_frequent(lab) == (2, 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.framework import _minbased_runner
+from repro.core.framework import MINBASED_FINISHES, _minbased_runner
 from repro.core.minbased import (
     LT_CODES,
     LTSpec,
@@ -20,6 +20,7 @@ from repro.oracle import assert_equivalent
 
 SMALL = gen.disjoint_union("small", [gen.cycle(6), gen.path_graph(7), gen.star(5)])
 RMAT = gen.rmat(80, 320, seed=9)
+EDGELESS = gen.from_pairs("empty", 5, [], [])
 
 # Exact round counts of every min-based finish on SMALL and RMAT: a change
 # to the round loop must keep the synchronous-round semantics, not just the
@@ -143,3 +144,15 @@ def test_minbased_rejects_bad_edge_id(spark, bad):
     e = edge_frame(spark, np.array([0, bad]), np.array([bad, 0]))
     with pytest.raises(ValueError, match="outside"):
         shiloach_vishkin(spark, e, 3)
+
+
+@pytest.mark.parametrize("finish", MINBASED_FINISHES)
+def test_minbased_substrates_agree(spark, small_edges, rmat_edges, finish):
+    """The DataFrame and the driver (src, dst) arrays of the same symmetric
+    edges give identical labels and rounds."""
+    run = _minbased_runner(finish)
+    edgeless = edge_frame(spark, EDGELESS.src, EDGELESS.dst)
+    for g, df in ((SMALL, small_edges), (RMAT, rmat_edges), (EDGELESS, edgeless)):
+        want, want_rounds = run(spark, df, g.n)
+        got, rounds = run(spark, (g.src, g.dst), g.n)
+        assert np.array_equal(got, want) and rounds == want_rounds, g.name

@@ -8,6 +8,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core import minbased
+from repro.core.framework import connectivity
 from repro.graphs import suite
 from repro.graphs.ground_truth import canonicalize
 from repro.oracle import assert_equivalent
@@ -44,6 +45,18 @@ def test_minbased_components_via_duckdb(spark, tiny_graphs, finish):
         labels, _ = MINBASED[finish](spark, g.df(spark), g.n)
         v = np.arange(g.n)
         got = spark.createDataFrame(pd.DataFrame({"v": v, "label": canonicalize(labels)}))
+        assert_equivalent(got, COMPONENTS_SQL, e=g.pandas(), verts=pd.DataFrame({"v": v}))
+
+
+@pytest.mark.parametrize("finish", sorted(MINBASED))
+@pytest.mark.parametrize("sampling", ["kout", "bfs", "ldd"])
+def test_sampled_finish_components_via_duckdb(spark, tiny_graphs, sampling, finish):
+    """A sampled min-based finish runs on the contracted driver edges; the
+    composed labeling must still match the SQL components."""
+    for g in (tiny_graphs[2], tiny_graphs[3]):
+        labels, _ = connectivity(spark, g, sampling, finish)
+        v = np.arange(g.n)
+        got = spark.createDataFrame(pd.DataFrame({"v": v, "label": labels}))
         assert_equivalent(got, COMPONENTS_SQL, e=g.pandas(), verts=pd.DataFrame({"v": v}))
 
 

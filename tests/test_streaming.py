@@ -126,6 +126,19 @@ def test_rejects_bad_ids(op, case):
     assert s.labels().tolist() == [0, 0, 2, 3]
 
 
+@pytest.mark.parametrize("bad", [(1, -1), (1, G.n), (0.0, 1.9)])
+@pytest.mark.parametrize("name", sorted(ALGOS))
+def test_bad_query_half_leaves_state(name, bad):
+    """Valid updates with a bad query half: the batch is rejected whole, and
+    neither the labels nor any counter moves."""
+    s = StreamingConnectIt(G.n, ALGOS[name])
+    s.process_batch(EDGES[:40], EDGES[40:50])
+    labels, counters = s.labels(), s.state.c.as_dict()
+    with pytest.raises(ValueError):
+        s.process_batch(EDGES[50:100], np.array([[2, 3], bad]))
+    assert np.array_equal(s.labels(), labels) and s.state.c.as_dict() == counters
+
+
 @pytest.mark.parametrize("name", ["type1-rem-cas", "type2-sv", "type3-rem-splice"])
 def test_empty_graph(name):
     s = StreamingConnectIt(0, ALGOS[name])
