@@ -1,37 +1,24 @@
 """GAP Benchmark Suite comparators [12]: Shiloach-Vishkin and Afforest [104].
 
-GAP-SV runs the plain-write Shiloach-Vishkin on the dataflow substrate
-(same as the ConnectIt SV finish, run unsampled). GAP-Afforest is the
-Sutton et al. algorithm: kout-afforest sampling (first k neighbors, no
-randomness) followed by a union-find finish that skips the most frequent
-component — on the driver substrate, like ConnectIt's union-find finishes.
+Both are ConnectIt configurations. GAP-SV is the unsampled Shiloach-Vishkin
+finish on the dataflow substrate, ``connectivity(none, sv)``. GAP-Afforest is
+the Sutton et al. algorithm: kout-afforest sampling (first k neighbors, no
+randomness) followed by a UF-Rem-CAS finish that skips the most frequent
+component on the driver, ``connectivity(kout, uf-rem-cas)`` with the afforest
+variant.
 """
 from __future__ import annotations
 
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.framework import identify_frequent
-from repro.core.minbased import shiloach_vishkin
-from repro.core.sampling import kout_sample
+from repro.core.framework import connectivity
 from repro.graphs.generators import Graph
-from repro.unionfind import UFSpec, run_components
 
 
 def gap_sv(spark: SparkSession, g: Graph) -> tuple[np.ndarray, dict]:
-    labels, rounds = shiloach_vishkin(spark, g.df(spark), g.n)
-    return labels, {"rounds": rounds}
+    return connectivity(spark, g, "none", "sv")
 
 
 def gap_afforest(spark: SparkSession, g: Graph, k: int = 2) -> tuple[np.ndarray, dict]:
-    sample = kout_sample(spark, g, k=k, variant="afforest")
-    frequent, _ = identify_frequent(sample.labels)
-    edges = np.stack([g.src, g.dst], axis=1)
-    labels, st = run_components(
-        g.n,
-        edges,
-        UFSpec("uf-rem-cas", "naive", "split-one"),
-        labels=sample.labels,
-        skip_label=frequent,
-    )
-    return labels, {"coverage": sample.coverage(), "counters": st.c.as_dict()}
+    return connectivity(spark, g, "kout", "uf-rem-cas", sampling_opts={"k": k, "variant": "afforest"})

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import SparkSession
 
+from repro.core.framework import contract_edges
 from repro.dataflow.ldd import ldd_labels
 from repro.graphs.generators import Graph, edge_frame
 
@@ -33,14 +34,6 @@ def workeff_cc(
         # contract: relabel cluster centers densely, drop intra-cluster edges
         centers, dense = np.unique(clab, return_inverse=True)
         composed = dense[clab[composed]]
-        cs, cd = dense[clab[src]], dense[clab[dst]]
-        keep = cs != cd
-        pairs = np.stack([cs[keep], cd[keep]], axis=1)
-        if len(pairs):
-            key = pairs[:, 0] * np.int64(len(centers)) + pairs[:, 1]
-            _, idx = np.unique(key, return_index=True)
-            pairs = pairs[idx]
-            src, dst = pairs[:, 0], pairs[:, 1]
-        else:
-            src = dst = np.empty(0, dtype=np.int64)
+        pairs, _ = contract_edges(src, dst, dense[clab], len(centers))
+        src, dst = pairs[:, 0], pairs[:, 1]
     return composed, {"levels": levels, "rounds": total_rounds}

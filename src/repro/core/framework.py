@@ -17,7 +17,9 @@ with any finish method:
   finishes run over the graph's DataFrame, one Spark edgeMap per round.
 
 Returns canonicalized labels plus an info dict with per-phase times, the
-number of edges processed in the finish phase, rounds, and UF counters.
+number of edges processed in the finish phase, rounds, UF counters, and for
+a root-based finish its spanning-forest edges (``spanning_forest`` reads
+them).
 """
 from __future__ import annotations
 
@@ -35,6 +37,8 @@ from repro.unionfind import UFSpec
 UF_FINISHES = ("uf-async", "uf-hooks", "uf-early", "uf-rem-cas", "uf-rem-lock", "uf-jtb")
 MINBASED_FINISHES = ("sv", "stergiou", "labelprop") + tuple(f"lt-{c}" for c in minbased.LT_CODES)
 ALL_FINISHES = UF_FINISHES + MINBASED_FINISHES
+# finishes that hook only roots, so their hooks form a spanning forest (§3.4)
+ROOT_BASED = UF_FINISHES + ("sv",)
 SAMPLINGS = ("none", "kout", "bfs", "ldd")
 
 
@@ -60,24 +64,35 @@ def _minbased_runner(name: str):
     raise KeyError(f"unknown min-based finish {name!r}")
 
 
-def _contract(g: Graph, labels: np.ndarray, frequent: int) -> tuple[np.ndarray, np.ndarray, int]:
+def contract_edges(
+    src: np.ndarray, dst: np.ndarray, cid: np.ndarray, nc: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Contract the edges ``(src, dst)`` by the vertex map ``cid`` into ``[0, nc)``.
+
+    Returns ``(pairs, eid)``: the distinct inter-component pairs as a sorted
+    ``(k, 2)`` int64 array, and for each pair the index of one original edge
+    that maps to it.
+    """
+    cs, cd = cid[src], cid[dst]
+    keep = np.flatnonzero(cs != cd)
+    _, idx = np.unique(cs[keep] * np.int64(nc) + cd[keep], return_index=True)
+    eid = keep[idx]
+    return np.stack([cs[eid], cd[eid]], axis=1), eid
+
+
+def _contract(
+    g: Graph, labels: np.ndarray, frequent: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Contract g by the sampled labeling; frequent component → id 0.
 
-    Returns (cid per vertex, contracted inter-component edge pairs, n_c).
+    Returns (cid per vertex, contracted pairs, their edge ids in g, n_c).
     """
     roots = np.unique(labels)
     cid_of_root = np.zeros(int(roots.max()) + 1 if len(roots) else 0, dtype=np.int64)
     order = np.concatenate([[frequent], roots[roots != frequent]])
     cid_of_root[order] = np.arange(len(order))
     cid = cid_of_root[labels]
-    cs, cd = cid[g.src], cid[g.dst]
-    keep = cs != cd
-    pairs = np.stack([cs[keep], cd[keep]], axis=1)
-    if len(pairs):
-        key = pairs[:, 0] * np.int64(len(order)) + pairs[:, 1]
-        _, idx = np.unique(key, return_index=True)
-        pairs = pairs[idx]
-    return cid, pairs, len(order)
+    return cid, *contract_edges(g.src, g.dst, cid, len(order)), len(order)
 
 
 def connectivity(
@@ -112,6 +127,10 @@ def finish_with_sample(
     Separated from :func:`connectivity` so harnesses can run one sampling
     pass per (graph, scheme) and reuse it across every finish method —
     exactly how the paper's framework shares the sampled labeling.
+
+    For a root-based finish (``ROOT_BASED``), ``info["forest"]`` holds the
+    finish's spanning-forest edges of g as a ``(k, 2)`` int64 array: one edge
+    per root hook (Algorithm 2), found on g itself for a contracted SV.
     """
     frequent, freq_count = identify_frequent(sample.labels)
     t1 = time.perf_counter()
@@ -133,22 +152,28 @@ def finish_with_sample(
         init = sample.labels
         info["finish_edges"] = int((init[g.src] != frequent).sum()) if sampling != "none" else g.m_directed
         info["counters"] = st.c.as_dict()
+        info["forest"] = st.forest
     else:
         runner = _minbased_runner(finish)
+        # SV, the one root-based min-based finish, also returns its hook edges
         if sampling == "none":
-            labels_c, rounds = runner(spark, g.df(spark), g.n)
-            labels = labels_c
+            labels, rounds, *hooks = runner(spark, g.df(spark), g.n)
             info["finish_edges"] = g.m_directed
         else:
-            cid, pairs, nc = _contract(g, sample.labels, frequent)
+            cid, pairs, eid, nc = _contract(g, sample.labels, frequent)
             info["finish_edges"] = len(pairs)
             info["contracted_n"] = nc
             if len(pairs) == 0:
-                labels = sample.labels.copy()
-                rounds = 0
+                labels, rounds, hooks = sample.labels.copy(), 0, [pairs]  # no edges, no hooks
             else:
-                clabels, rounds = runner(spark, (pairs[:, 0], pairs[:, 1]), nc)
+                clabels, rounds, *hooks = runner(spark, (pairs[:, 0], pairs[:, 1]), nc)
                 labels = clabels[cid]
+                if hooks:  # each contracted hook (s, d) back to one edge of g behind it
+                    s, d = hooks[0].T
+                    e = eid[np.searchsorted(pairs[:, 0] * nc + pairs[:, 1], s * nc + d)]
+                    hooks = [np.stack([g.src[e], g.dst[e]], axis=1)]
+        if finish in ROOT_BASED:
+            info["forest"] = hooks[0]
         info["rounds"] = rounds
     info["finish_time_s"] = time.perf_counter() - t1
     info["total_time_s"] = sample_time + info["finish_time_s"]

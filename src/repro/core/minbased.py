@@ -16,7 +16,8 @@ pair of int64 arrays (the contracted edges of a sampled finish; no Spark job
 runs). Every edge (u, v) is also present as (v, u). Symmetry lets a candidate
 pair of an edge (s, d) be computed at d from d's minimum neighbour payload.
 An endpoint outside [0, n) raises ValueError. Each returns
-``(labels ndarray, rounds)``, the same on both substrates.
+``(labels ndarray, rounds)``, the same on both substrates; Shiloach-Vishkin,
+the one root-based finish here, also returns the forest of its hooks.
 Sampling composes via contraction in ``repro.core.framework`` (Theorem 5):
 the frequent component becomes contracted vertex 0, the smallest possible ID,
 so it is never relabeled.
@@ -157,18 +158,35 @@ def stergiou(spark: SparkSession, edges: Edges, n: int) -> tuple[np.ndarray, int
     return _iterate(n, step, "Stergiou")
 
 
-def shiloach_vishkin(spark: SparkSession, edges: Edges, n: int) -> tuple[np.ndarray, int]:
+def shiloach_vishkin(
+    spark: SparkSession, edges: Edges, n: int
+) -> tuple[np.ndarray, int, np.ndarray]:
     """Shiloach-Vishkin with writeMin hooks on round-start roots and full
-    pointer jumping per round (paper Algorithm 15)."""
+    pointer jumping per round (paper Algorithm 15).
+
+    Returns ``(labels, rounds, forest)``. ``forest`` is a ``(k, 2)`` int64
+    array holding, for every hooked root, the edge ``(s, d)`` behind its
+    winning hook: the smallest neighbour label ``m``, then the smallest
+    ``d``. It is acyclic because every round starts from flat trees, only a
+    round-start root ``x`` hooks, onto a round-start root ``m < x``, and a
+    root that hooked is never a root again. So each root contributes at most
+    one edge, pointing to a strictly smaller root (Algorithm 2, App. B.3).
+    """
+    hooks = [np.empty((0, 2), dtype=np.int64)]
 
     def step(P: np.ndarray) -> np.ndarray:
         # hook each endpoint parent x onto its smaller neighbour parent, if x is a root
-        d, m = _neighbour_min(spark, edges, n, P)
+        d, m, s = _edge_map(spark, edges, n, np.arange(n, dtype=np.int64), P)
         x = P[d]
-        hook = (m < x) & (P[x] == x)
-        return _full_shortcut(_write_min(P, x[hook], m[hook]))
+        hook = np.flatnonzero((m < x) & (P[x] == x))
+        # per root x, the hook with the smallest m (ties: smallest d) wins
+        order = hook[np.lexsort((d[hook], m[hook], x[hook]))]
+        win = order[np.unique(x[order], return_index=True)[1]]
+        hooks.append(np.stack([s[win], d[win]], axis=1))
+        return _full_shortcut(_write_min(P, x[win], m[win]))
 
-    return _iterate(n, step, "SV")
+    labels, rounds = _iterate(n, step, "SV")
+    return labels, rounds, np.concatenate(hooks)
 
 
 def label_propagation(spark: SparkSession, edges: Edges, n: int) -> tuple[np.ndarray, int]:

@@ -56,7 +56,7 @@ def test_gap_afforest(spark):
     g = GRAPHS["CW"]
     labels, info = gap_afforest(spark, g)
     assert same_partition(labels, _truth(g))
-    assert 0 < info["coverage"] <= 1
+    assert 0 < info["frequent_coverage"] <= 1
 
 
 def test_patwary(spark):

@@ -151,7 +151,7 @@ def test_ldd_labels_golden(spark, graphs, key):
 def test_minbased_labels_golden(spark, graphs, key):
     name, finish = key
     g = graphs[name]
-    labels, rounds = _minbased_runner(finish)(spark, g.df(spark), g.n)
+    labels, rounds, *_ = _minbased_runner(finish)(spark, g.df(spark), g.n)
     h = hashlib.sha256(np.asarray(labels, dtype=np.int64).tobytes())
     h.update(str(rounds).encode())
     assert h.hexdigest() == MINBASED_GOLDENS[key]

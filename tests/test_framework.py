@@ -9,6 +9,7 @@ from repro.core.framework import (
     SAMPLINGS,
     UF_FINISHES,
     connectivity,
+    contract_edges,
     finish_with_sample,
     identify_frequent,
     run_sampling,
@@ -67,6 +68,22 @@ def test_contracted_finish_starts_no_spark_job(spark, spark_jobs, scheme, finish
     assert spark_jobs() == j0, (scheme, finish)
     assert info["finish_edges"] > 0 and info["rounds"] >= 1
     assert same_partition(labels, TRUTH), (scheme, finish)
+
+
+def test_contract_edges():
+    """Sorted, distinct inter-component pairs, each with an edge of g behind it."""
+    g = gen.rmat(60, 240, seed=2)
+    cid = np.random.default_rng(5).integers(0, 7, g.n)
+    pairs, eid = contract_edges(g.src, g.dst, cid, 7)
+    assert pairs.dtype == eid.dtype == np.int64
+    assert np.all(np.diff(pairs[:, 0] * 7 + pairs[:, 1]) > 0)  # sorted, distinct
+    assert np.all(pairs[:, 0] != pairs[:, 1])
+    assert np.array_equal(np.stack([cid[g.src[eid]], cid[g.dst[eid]]], axis=1), pairs)
+    cs, cd = cid[g.src], cid[g.dst]
+    assert set(zip(cs[cs != cd].tolist(), cd[cs != cd].tolist())) == set(map(tuple, pairs.tolist()))
+    none = np.empty(0, dtype=np.int64)
+    pairs, eid = contract_edges(none, none, cid, 7)
+    assert pairs.shape == (0, 2) and eid.shape == (0,)
 
 
 def test_identify_frequent():

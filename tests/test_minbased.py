@@ -88,7 +88,7 @@ def test_stergiou(spark, small_edges, rmat_edges):
 def test_shiloach_vishkin(spark, small_edges, rmat_edges):
     for g, e, want in ((SMALL, small_edges, 2), (RMAT, rmat_edges, 3)):
         truth = cc_labels(g.n, g.src, g.dst)
-        labels, rounds = shiloach_vishkin(spark, e, g.n)
+        labels, rounds, _ = shiloach_vishkin(spark, e, g.n)
         assert same_partition(labels, truth)
         assert rounds == want, g.name
 
@@ -96,7 +96,7 @@ def test_shiloach_vishkin(spark, small_edges, rmat_edges):
 def test_sv_logarithmic_rounds(spark):
     g = gen.path_graph(64)
     e = g.df(spark)
-    _, rounds = shiloach_vishkin(spark, e, g.n)
+    _, rounds, _ = shiloach_vishkin(spark, e, g.n)
     assert rounds <= 10  # pointer jumping: O(log n), not O(diameter)
 
 
@@ -126,7 +126,7 @@ def test_minbased_jobs_per_round(spark, spark_jobs, rmat_edges, finish):
     """Each round is one edgeMap: at most 3 Spark jobs (broadcast, aggregation
     exchange, collect); writeMin, shortcuts and the stop test run on the driver."""
     j0 = spark_jobs()
-    _, rounds = _minbased_runner(finish)(spark, rmat_edges, RMAT.n)
+    _, rounds, *_ = _minbased_runner(finish)(spark, rmat_edges, RMAT.n)
     assert spark_jobs() - j0 <= 3 * rounds
 
 
@@ -134,7 +134,7 @@ def test_minbased_jobs_per_round(spark, spark_jobs, rmat_edges, finish):
 def test_minbased_edgeless(spark, finish):
     """A table with no edges leaves every vertex its own component after one round."""
     none = np.empty(0, dtype=np.int64)
-    labels, rounds = _minbased_runner(finish)(spark, edge_frame(spark, none, none), 5)
+    labels, rounds, *_ = _minbased_runner(finish)(spark, edge_frame(spark, none, none), 5)
     assert np.array_equal(labels, np.arange(5)) and rounds == 1
 
 
@@ -149,10 +149,12 @@ def test_minbased_rejects_bad_edge_id(spark, bad):
 @pytest.mark.parametrize("finish", MINBASED_FINISHES)
 def test_minbased_substrates_agree(spark, small_edges, rmat_edges, finish):
     """The DataFrame and the driver (src, dst) arrays of the same symmetric
-    edges give identical labels and rounds."""
+    edges give identical labels and rounds, and SV the identical forest."""
     run = _minbased_runner(finish)
     edgeless = edge_frame(spark, EDGELESS.src, EDGELESS.dst)
     for g, df in ((SMALL, small_edges), (RMAT, rmat_edges), (EDGELESS, edgeless)):
-        want, want_rounds = run(spark, df, g.n)
-        got, rounds = run(spark, (g.src, g.dst), g.n)
+        want, want_rounds, *want_forest = run(spark, df, g.n)
+        got, rounds, *forest = run(spark, (g.src, g.dst), g.n)
         assert np.array_equal(got, want) and rounds == want_rounds, g.name
+        assert len(forest) == len(want_forest) == (finish == "sv"), g.name
+        assert all(np.array_equal(f, w) for f, w in zip(forest, want_forest)), g.name

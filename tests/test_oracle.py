@@ -42,17 +42,18 @@ MINBASED = {
 def test_minbased_components_via_duckdb(spark, tiny_graphs, finish):
     # the web-like graph and the disjoint union both have several components
     for g in (tiny_graphs[2], tiny_graphs[3]):
-        labels, _ = MINBASED[finish](spark, g.df(spark), g.n)
+        labels, *_ = MINBASED[finish](spark, g.df(spark), g.n)
         v = np.arange(g.n)
         got = spark.createDataFrame(pd.DataFrame({"v": v, "label": canonicalize(labels)}))
         assert_equivalent(got, COMPONENTS_SQL, e=g.pandas(), verts=pd.DataFrame({"v": v}))
 
 
-@pytest.mark.parametrize("finish", sorted(MINBASED))
+@pytest.mark.parametrize("finish", sorted(MINBASED) + ["uf-rem-cas", "uf-jtb", "uf-hooks"])
 @pytest.mark.parametrize("sampling", ["kout", "bfs", "ldd"])
 def test_sampled_finish_components_via_duckdb(spark, tiny_graphs, sampling, finish):
-    """A sampled min-based finish runs on the contracted driver edges; the
-    composed labeling must still match the SQL components."""
+    """A sampled min-based finish runs on the contracted driver edges and a
+    union-find finish on g seeded with the sample; the composed labeling must
+    still match the SQL components."""
     for g in (tiny_graphs[2], tiny_graphs[3]):
         labels, _ = connectivity(spark, g, sampling, finish)
         v = np.arange(g.n)

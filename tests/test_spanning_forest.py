@@ -1,6 +1,7 @@
 """Spanning forest framework (Algorithm 2, Theorem 7)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.spanning_forest import spanning_forest
 from repro.graphs import generators as gen
@@ -53,6 +54,42 @@ def test_forest_on_tree_is_whole_graph(spark):
     truth = cc_labels(g.n, g.src, g.dst)
     _, forest, _ = spanning_forest(spark, g, "none", "uf-rem-cas")
     assert len(forest) == g.m  # a tree is its own spanning forest
+    _assert_valid_forest(g, truth, forest)
+
+
+@pytest.mark.parametrize("sampling", ["none", "kout", "bfs", "ldd"])
+def test_sv_forest_edgeless(spark, sampling):
+    g = gen.from_pairs("empty", 5, [], [])
+    labels, forest, _ = spanning_forest(spark, g, sampling, "sv")
+    assert np.array_equal(labels, np.arange(5))
+    assert forest.dtype == np.int64 and forest.shape == (0, 2)
+
+
+@pytest.mark.parametrize("sampling", ["none", "kout", "bfs", "ldd"])
+def test_sv_forest_multi_component(spark, sampling):
+    g = gen.disjoint_union("m", [gen.cycle(8), gen.complete(5), gen.path_graph(4)])
+    truth = cc_labels(g.n, g.src, g.dst)
+    labels, forest, _ = spanning_forest(spark, g, sampling, "sv")
+    assert same_partition(labels, truth)
+    _assert_valid_forest(g, truth, forest)
+
+
+# edges on vertices 0..23 of 28: vertices 24..27 are always isolated
+edge_lists = st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=30)
+
+
+@pytest.mark.parametrize("finish", ["sv", "uf-rem-cas"])
+@pytest.mark.parametrize("sampling", ["none", "kout", "bfs", "ldd"])
+@given(pairs=edge_lists)
+@settings(max_examples=5, deadline=None)
+def test_forest_property(spark, sampling, finish, pairs):
+    """On random graphs with several components: a forest of n - #C edges of
+    G spanning its components, and the components as labels."""
+    e = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    g = gen.from_pairs("random", 28, e[:, 0], e[:, 1])
+    truth = canonicalize(cc_labels(g.n, g.src, g.dst))
+    labels, forest, _ = spanning_forest(spark, g, sampling, finish)
+    assert np.array_equal(labels, truth)
     _assert_valid_forest(g, truth, forest)
 
 
