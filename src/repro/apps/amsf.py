@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pandas as pd
 
-from repro.unionfind import UFSpec, UFState, make_union
+from repro.unionfind import UFSpec, UFState, full_shortcut, make_union
 
 _SPEC = UFSpec("uf-rem-cas", "naive", "split-one")
 
@@ -129,11 +129,7 @@ def boruvka_msf(weighted: pd.DataFrame, n: int) -> tuple[pd.DataFrame, dict]:
         lo, hi = np.minimum(a, bb), np.maximum(a, bb)
         # resolve conflicts min-first, then pointer-jump
         np.minimum.at(p, hi, lo)
-        while True:
-            pp = p[p]
-            if np.array_equal(pp, p):
-                break
-            p = pp
+        p = full_shortcut(p)
     chosen_idx = sorted(set(chosen))
     forest = pd.DataFrame({"u": u[chosen_idx], "v": v[chosen_idx], "w": w[chosen_idx]})
     # Borůvka with simultaneous hooks can select a redundant edge on ties;

@@ -1,7 +1,11 @@
-"""The ConnectIt framework: Algorithm 1 (two-phase connectivity).
+"""The ConnectIt framework: Algorithm 1 (two-phase connectivity) and, run
+black-box with a root-based finish, Algorithm 2 (spanning forest).
 
-``connectivity(spark, g, sampling, finish)`` composes any sampling method
-with any finish method:
+``connectivity(spark, g, sampling, finish)`` is ``run_sampling`` followed by
+``finish_with_sample``. ``run_sampling`` is the one place a sample is timed:
+the :class:`~repro.core.sampling.SampleResult` it returns carries its scheme
+and wall time, and the finish reads both from it. Any sampling method
+composes with any finish method:
 
 - Union-find finishes run on the original vertex space, seeded with the
   sampled labeling, skipping edges out of the most frequent component
@@ -18,11 +22,16 @@ with any finish method:
 
 Returns canonicalized labels plus an info dict with per-phase times, the
 number of edges processed in the finish phase, rounds, UF counters, and for
-a root-based finish its spanning-forest edges (``spanning_forest`` reads
-them).
+a root-based finish (``ROOT_BASED``: every union-find variant and SV) the
+whole spanning forest: the sample's forest, which spans every sampled
+component, followed by the finish's root hooks, which join them
+(Theorem 7). ``spanning_forest`` is ``connectivity`` with that forest
+popped out of the info dict; the non-root-based finishes are rejected there,
+as in the paper.
 """
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -43,25 +52,24 @@ SAMPLINGS = ("none", "kout", "bfs", "ldd")
 
 
 def run_sampling(
-    spark: SparkSession, g: Graph, sampling: str, **opts
+    spark: SparkSession, g: Graph, scheme: str, **opts
 ) -> sampling_mod.SampleResult:
-    if sampling == "none":
-        return sampling_mod.identity_sample(g)
-    sampler = sampling_mod.get_sampler(sampling)
-    return sampler(spark, g, **opts)
+    """Run sampling ``scheme`` on g; the sample records its scheme and wall time."""
+    t0 = time.perf_counter()
+    sample = sampling_mod.get_sampler(scheme)(spark, g, **opts)
+    sample.scheme, sample.time_s = scheme, time.perf_counter() - t0
+    return sample
 
 
 def _minbased_runner(name: str):
-    if name == "sv":
-        return lambda spark, e, n: minbased.shiloach_vishkin(spark, e, n)
-    if name == "stergiou":
-        return lambda spark, e, n: minbased.stergiou(spark, e, n)
-    if name == "labelprop":
-        return lambda spark, e, n: minbased.label_propagation(spark, e, n)
     if name.startswith("lt-"):
-        code = name[3:]
-        return lambda spark, e, n: minbased.liu_tarjan(spark, e, n, code)
-    raise KeyError(f"unknown min-based finish {name!r}")
+        return functools.partial(minbased.liu_tarjan, spec=name[3:])
+    runners = {
+        "sv": minbased.shiloach_vishkin, "stergiou": minbased.stergiou, "labelprop": minbased.label_propagation
+    }
+    if name not in runners:
+        raise KeyError(f"unknown min-based finish {name!r}")
+    return runners[name]
 
 
 def contract_edges(
@@ -104,40 +112,52 @@ def connectivity(
     sampling_opts: dict | None = None,
 ) -> tuple[np.ndarray, dict]:
     """ConnectIt connectivity (Algorithm 1). Returns (canonical labels, info)."""
-    t0 = time.perf_counter()
     sample = run_sampling(spark, g, sampling, **(sampling_opts or {}))
-    sample_time = time.perf_counter() - t0
-    return finish_with_sample(
-        spark, g, sample, finish,
-        sampling=sampling, sample_time=sample_time, uf_spec=uf_spec,
-    )
+    return finish_with_sample(spark, g, sample, finish, uf_spec)
+
+
+def spanning_forest(
+    spark: SparkSession,
+    g: Graph,
+    sampling: str = "none",
+    finish: str = "uf-rem-cas",
+    uf_spec: UFSpec | None = None,
+    sampling_opts: dict | None = None,
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Algorithm 2: connectivity with a root-based finish, which yields its
+    forest (§3.4). Returns (canonical labels, (k, 2) forest edges, info)."""
+    if finish not in ROOT_BASED:
+        raise ValueError(f"finish {finish!r} is not root-based; spanning forest supports {ROOT_BASED}")
+    labels, info = connectivity(spark, g, sampling, finish, uf_spec, sampling_opts)
+    return labels, info.pop("forest"), info
 
 
 def finish_with_sample(
     spark: SparkSession,
     g: Graph,
-    sample,
+    sample: sampling_mod.SampleResult,
     finish: str,
-    sampling: str = "none",
-    sample_time: float = 0.0,
     uf_spec: UFSpec | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Finish phase only, over a precomputed SampleResult.
 
     Separated from :func:`connectivity` so harnesses can run one sampling
     pass per (graph, scheme) and reuse it across every finish method —
-    exactly how the paper's framework shares the sampled labeling.
+    exactly how the paper's framework shares the sampled labeling. The
+    scheme and sampling time are the sample's own.
 
-    For a root-based finish (``ROOT_BASED``), ``info["forest"]`` holds the
-    finish's spanning-forest edges of g as a ``(k, 2)`` int64 array: one edge
-    per root hook (Algorithm 2), found on g itself for a contracted SV.
+    For a root-based finish (``ROOT_BASED``), ``info["forest"]`` holds a
+    spanning forest of g as a ``(k, 2)`` int64 array: the sample's forest,
+    then one edge per root hook of the finish (Algorithm 2), found on g
+    itself for a contracted SV.
     """
     frequent, freq_count = identify_frequent(sample.labels)
+    sampled = sample.scheme != "none"
     t1 = time.perf_counter()
     info: dict = {
-        "sampling": sampling,
+        "sampling": sample.scheme,
         "finish": finish,
-        "sample_time_s": sample_time,
+        "sample_time_s": sample.time_s,
         "sample_edges_processed": sample.edges_processed,
         "frequent_coverage": freq_count / max(1, g.n),
     }
@@ -146,17 +166,17 @@ def finish_with_sample(
         spec = uf_spec or _default_spec(finish)
         if spec.variant != finish:
             raise ValueError(f"uf_spec variant {spec.variant} does not match finish {finish}")
-        skip = frequent if sampling != "none" else None
         edges = np.stack([g.src, g.dst], axis=1)
-        labels, st = uf_finish.run_components(g.n, edges, spec, labels=sample.labels, skip_label=skip)
-        init = sample.labels
-        info["finish_edges"] = int((init[g.src] != frequent).sum()) if sampling != "none" else g.m_directed
+        labels, st = uf_finish.run_components(
+            g.n, edges, spec, labels=sample.labels, skip_label=frequent if sampled else None
+        )
+        info["finish_edges"] = int((sample.labels[g.src] != frequent).sum()) if sampled else g.m_directed
         info["counters"] = st.c.as_dict()
-        info["forest"] = st.forest
+        hooks = [st.forest]
     else:
         runner = _minbased_runner(finish)
         # SV, the one root-based min-based finish, also returns its hook edges
-        if sampling == "none":
+        if not sampled:
             labels, rounds, *hooks = runner(spark, g.df(spark), g.n)
             info["finish_edges"] = g.m_directed
         else:
@@ -172,11 +192,11 @@ def finish_with_sample(
                     s, d = hooks[0].T
                     e = eid[np.searchsorted(pairs[:, 0] * nc + pairs[:, 1], s * nc + d)]
                     hooks = [np.stack([g.src[e], g.dst[e]], axis=1)]
-        if finish in ROOT_BASED:
-            info["forest"] = hooks[0]
         info["rounds"] = rounds
+    if finish in ROOT_BASED:
+        info["forest"] = np.concatenate([sample.forest, *hooks])
     info["finish_time_s"] = time.perf_counter() - t1
-    info["total_time_s"] = sample_time + info["finish_time_s"]
+    info["total_time_s"] = sample.time_s + info["finish_time_s"]
     return canonicalize(labels), info
 
 

@@ -31,6 +31,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.dataflow.edgemap import Edges, _edge_map
+from repro.unionfind import full_shortcut
 
 MAX_ROUNDS = 500
 
@@ -84,13 +85,6 @@ def _write_min(P: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return P
 
 
-def _full_shortcut(P: np.ndarray) -> np.ndarray:
-    """P ← P[P] until no entry moves."""
-    while not np.array_equal(Q := P[P], P):
-        P = Q
-    return P
-
-
 def _iterate(
     n: int, step: Callable[[np.ndarray], np.ndarray], name: str, budget: int = MAX_ROUNDS
 ) -> tuple[np.ndarray, int]:
@@ -138,7 +132,7 @@ def liu_tarjan(
             keep = P[x] == x
             x, m = x[keep], m[keep]
         P = _write_min(P, x, m)
-        return _full_shortcut(P) if spec.shortcut == "full" else P[P]
+        return full_shortcut(P) if spec.shortcut == "full" else P[P]
 
     return _iterate(n, step, f"Liu-Tarjan {spec}")
 
@@ -183,7 +177,7 @@ def shiloach_vishkin(
         order = hook[np.lexsort((d[hook], m[hook], x[hook]))]
         win = order[np.unique(x[order], return_index=True)[1]]
         hooks.append(np.stack([s[win], d[win]], axis=1))
-        return _full_shortcut(_write_min(P, x[win], m[win]))
+        return full_shortcut(_write_min(P, x[win], m[win]))
 
     labels, rounds = _iterate(n, step, "SV")
     return labels, rounds, np.concatenate(hooks)

@@ -10,14 +10,14 @@ run on the dataflow kernels.
 
 Each sampler returns a :class:`SampleResult` with the labeling, the partial
 spanning forest (Definition B.2) as a ``(k, 2)`` int64 edge array, and the
-metrics reported in Tables 6/7:
-sampling time, coverage of the most frequent component, and the fraction of
-inter-component edges remaining.
+metrics reported in Tables 6/7: coverage of the most frequent component
+and the fraction of inter-component edges remaining. The samplers do not
+time themselves: ``framework.run_sampling`` records each sample's scheme and
+wall time on it.
 """
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +46,7 @@ def identify_frequent(labels: np.ndarray) -> tuple[int, int]:
 class SampleResult:
     labels: np.ndarray  # height-1 composable labeling
     forest: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
+    scheme: str = ""  # set with time_s by framework.run_sampling; "none" = no sampling
     time_s: float = 0.0
     edges_processed: int = 0  # the paper's Y metric
     rounds: int = 0
@@ -62,7 +63,7 @@ class SampleResult:
         return float((c[g.src] != c[g.dst]).sum() / g.m_directed)
 
 
-def identity_sample(g: Graph) -> SampleResult:
+def identity_sample(spark: SparkSession, g: Graph) -> SampleResult:
     """The *No Sampling* setting: every vertex is its own component."""
     return SampleResult(labels=np.arange(g.n, dtype=np.int64))
 
@@ -110,7 +111,6 @@ def kout_sample(
         raise KeyError(f"unknown k-out variant {variant!r}; options: {KOUT_VARIANTS}")
     if k < 1:
         raise ValueError(f"k-out sampling needs k >= 1, got {k}")
-    t0 = time.perf_counter()
     rows, n = g.df(spark), g.n
     # "First k edges" = the adjacency-list prefix. Under the suite's
     # locality-preserving vertex ids (web graphs: lexicographic URLs), the
@@ -138,7 +138,6 @@ def kout_sample(
     return SampleResult(
         labels=labels,
         forest=st.forest,
-        time_s=time.perf_counter() - t0,
         edges_processed=len(pairs),
         info={"variant": variant, "k": k, "counters": st.c.as_dict()},
     )
@@ -156,7 +155,6 @@ def bfs_sample(
 ) -> SampleResult:
     """BFS sampling (Algorithm 5): up to ``c`` tries from random sources,
     stopping once a component covering >10 % of the vertices is found."""
-    t0 = time.perf_counter()
     gen = np.random.default_rng(seed)
     edges = g.df(spark)
     degs = g.degrees()
@@ -179,7 +177,6 @@ def bfs_sample(
         # min-based union-find finishes rely on (still height-1, same classes)
         labels=canonicalize(labels),
         forest=forest,
-        time_s=time.perf_counter() - t0,
         edges_processed=edges_processed,
         rounds=rounds,
     )
@@ -189,14 +186,12 @@ def ldd_sample(
     spark: SparkSession, g: Graph, beta: float = 0.2, seed: int = 0, permute: bool = False
 ) -> SampleResult:
     """LDD sampling (Algorithm 6): a single Miller–Peng–Xu round-set."""
-    t0 = time.perf_counter()
     lab, rounds = ldd_labels(spark, g.df(spark), g.n, beta=beta, seed=seed, permute=permute)
     labels = np.arange(g.n, dtype=np.int64)
     labels[lab["v"].to_numpy()] = lab["center"].to_numpy()
     return SampleResult(
         labels=canonicalize(labels),
         forest=_tree_edges(lab),
-        time_s=time.perf_counter() - t0,
         edges_processed=g.m_directed,
         rounds=rounds,
         info={"beta": beta, "permute": permute},
@@ -204,7 +199,11 @@ def ldd_sample(
 
 
 def get_sampler(name: str):
-    """Sampler registry for Algorithm 1's GetSamplingAlgorithm."""
+    """Sampler registry for Algorithm 1's GetSamplingAlgorithm.
+
+    Every sampler is called as ``sampler(spark, g, **opts)``. The table is
+    built per call, so a sampler replaced on this module is the one found.
+    """
     table = {"none": identity_sample, "kout": kout_sample, "bfs": bfs_sample, "ldd": ldd_sample}
     if name not in table:
         raise KeyError(f"unknown sampling method {name!r}; options: {sorted(table)}")

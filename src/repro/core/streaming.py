@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.unionfind import UFSpec, UFState, make_union
+from repro.unionfind import UFSpec, UFState, full_shortcut, make_union
 from repro.unionfind.core import READS, UNIONS, WRITES, as_batches, id_pairs
 from repro.unionfind.finds import make_connected
 
@@ -115,12 +115,7 @@ class StreamingConnectIt:
                         if p[h] == h and l < p[h]:
                             p[h] = l
                             writes += 1
-            # full shortcut (pointer jumping)
-            while True:
-                pp = p[p]
-                if np.array_equal(pp, p):
-                    break
-                p[:] = pp
+            p = full_shortcut(p)
             if np.array_equal(p, prev):
                 break
         c = self.state.c.a

@@ -9,6 +9,7 @@ paper's framework does.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.baselines.primitives import gather_edges, map_edges
 from repro.baselines.stinger_like import StingerLike
 from repro.baselines.workeff import workeff_cc
 from repro.core.framework import connectivity, finish_with_sample, run_sampling
+from repro.core.sampling import SampleResult
 from repro.core.streaming import StreamingConnectIt
 from repro.graphs import suite
 from repro.graphs.ground_truth import canonicalize, cc_labels, same_partition
@@ -31,24 +33,23 @@ from repro.unionfind import UFSpec
 
 RESULTS_DIR = Path(__file__).resolve().parents[3] / "results"
 
-_SAMPLE_CACHE: dict[tuple, tuple] = {}
+_SAMPLE_CACHE: dict[tuple, SampleResult] = {}
 
 
-def cached_sample(spark: SparkSession, name: str, scheme: str, scale: str):
+def cached_sample(spark: SparkSession, name: str, scheme: str, scale: str) -> SampleResult:
     """One sampling pass per (graph, scheme, scale), shared across finishes.
 
-    The time is of a warm pass. The graph's edge table is built first, and one
-    untimed pass warms up the JVM (on the first graph) and the query's code
-    paths; sampling is seeded, so the timed pass returns the same sample.
+    The sample is of a warm pass, and so is its ``time_s``. The graph's edge
+    table is built first, and one untimed pass warms up the JVM (on the
+    first graph) and the query's code paths; sampling is seeded, so the warm
+    pass returns the same sample.
     """
     key = (name, scheme, scale)
     if key not in _SAMPLE_CACHE:
         g = suite.get(name, scale)
         g.df(spark)
         run_sampling(spark, g, scheme)
-        t0 = time.perf_counter()
-        sample = run_sampling(spark, g, scheme)
-        _SAMPLE_CACHE[key] = (sample, time.perf_counter() - t0)
+        _SAMPLE_CACHE[key] = run_sampling(spark, g, scheme)
     return _SAMPLE_CACHE[key]
 
 
@@ -87,15 +88,31 @@ def _spread(times: list[float]) -> tuple[float, float, float]:
     return float(np.median(times)), min(times), max(times)
 
 
+def _warm_passes(systems: dict[str, Callable[[], object]]) -> dict[str, list[tuple[float, object]]]:
+    """Each system's ``PASSES`` warm passes, as (seconds, output) pairs.
+
+    Every system runs once untimed first. The timed passes then rotate the
+    system order, so no system always runs first.
+    """
+    names = list(systems)
+    for fn in systems.values():
+        fn()
+    runs: dict[str, list[tuple[float, object]]] = {s: [] for s in names}
+    for p in range(PASSES):
+        for s in names[p:] + names[:p]:
+            t0 = time.perf_counter()
+            out = systems[s]()
+            runs[s].append((time.perf_counter() - t0, out))
+    return runs
+
+
 def table1(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
     """Massive-graph race: ConnectIt fastest vs our implemented systems on the
     Hyperlink stand-ins (paper Table 1 compares against other publications'
     reported numbers; our comparators are the same systems rebuilt here).
 
-    Each cell is warm: the graph's edge table is built first and every system
-    runs once untimed, then ``PASSES`` timed passes rotate the system order,
-    so no system always runs first. A cell is the median pass with its
-    min–max."""
+    Each cell is warm (``_warm_passes``, after the graph's edge table is
+    built): the median pass with its min–max."""
     rows = []
     for name in ("HL14", "HL12"):
         g = suite.get(name, scale)
@@ -109,18 +126,9 @@ def table1(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
             "GAP-SV": lambda: gap_sv(spark, g),
             "GAP-Afforest": lambda: gap_afforest(spark, g),
         }
-        names = list(systems)
-        times: dict[str, list[float]] = {s: [] for s in names}
-        for sysname in names:
-            assert same_partition(np.asarray(systems[sysname]()[0]), truth), (name, sysname)
-        for p in range(PASSES):
-            for sysname in names[p:] + names[:p]:
-                t0 = time.perf_counter()
-                labels, _ = systems[sysname]()
-                times[sysname].append(time.perf_counter() - t0)
-                assert same_partition(np.asarray(labels), truth), (name, sysname)
-        for sysname in names:
-            dt, lo, hi = _spread(times[sysname])
+        for sysname, runs in _warm_passes(systems).items():
+            assert all(same_partition(np.asarray(out[0]), truth) for _, out in runs), (name, sysname)
+            dt, lo, hi = _spread([t for t, _ in runs])
             rows.append({"graph": name, "system": sysname, "time_s": dt,
                          "time_s_min": lo, "time_s_max": hi, "n": g.n, "m": g.m})
     df = pd.DataFrame(rows)
@@ -166,14 +174,12 @@ def table3(
         for scheme in schemes:
             if scheme == "bfs" and name == "RO" and scale != "test":
                 continue  # diameter-many dataflow rounds; Table 6 reports it
-            sample, sample_t = cached_sample(spark, name, scheme, scale)
+            sample = cached_sample(spark, name, scheme, scale)
             algos = list(UF_ALGOS) + [
                 a for a in MIN_ALGOS if scheme != "none" or name in minbased_nosample_graphs
             ]
             for algo in algos:
-                labels, info = finish_with_sample(
-                    spark, g, sample, algo, sampling=scheme, sample_time=sample_t
-                )
+                labels, info = finish_with_sample(spark, g, sample, algo)
                 assert same_partition(labels, truth), (name, scheme, algo)
                 rows.append(
                     {
@@ -193,7 +199,7 @@ def table3(
                 "sys:MultiStep": lambda: multistep(spark, g),
                 "sys:GAP-SV": lambda: gap_sv(spark, g),
                 "sys:GAP-Afforest": lambda: gap_afforest(spark, g),
-                "sys:PatwaryRM": lambda: patwary_rm(g),
+                "sys:PatwaryRM": lambda: patwary_rm(spark, g),
             }.items():
                 t0 = time.perf_counter()
                 labels, info = fn()
@@ -304,12 +310,12 @@ def table6(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
     rows = []
     for name in suite.GRAPH_NAMES:
         g = suite.get(name, scale)
-        b, bt = cached_sample(spark, name, "bfs", scale)
-        l, lt = cached_sample(spark, name, "ldd", scale)
+        b = cached_sample(spark, name, "bfs", scale)
+        l = cached_sample(spark, name, "ldd", scale)
         rows.append(
             {"graph": name,
-             "bfs_s": bt, "bfs_cov": b.coverage(), "bfs_ic": b.intercomponent_fraction(g),
-             "ldd_s": lt, "ldd_cov": l.coverage(), "ldd_ic": l.intercomponent_fraction(g)}
+             "bfs_s": b.time_s, "bfs_cov": b.coverage(), "bfs_ic": b.intercomponent_fraction(g),
+             "ldd_s": l.time_s, "ldd_cov": l.coverage(), "ldd_ic": l.intercomponent_fraction(g)}
         )
     return pd.DataFrame(rows)
 
@@ -319,9 +325,9 @@ def table7(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
     rows = []
     for name in suite.GRAPH_NAMES:
         g = suite.get(name, scale)
-        s, t = cached_sample(spark, name, "kout", scale)
+        s = cached_sample(spark, name, "kout", scale)
         rows.append(
-            {"graph": name, "kout_s": t, "kout_cov": s.coverage(),
+            {"graph": name, "kout_s": s.time_s, "kout_cov": s.coverage(),
              "kout_ic": s.intercomponent_fraction(g)}
         )
     return pd.DataFrame(rows)
@@ -329,18 +335,29 @@ def table7(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
 
 # ---------------------------------------------------------------- Table 8 --
 def table8(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
-    """MapEdges / GatherEdges lower bounds vs fastest ConnectIt times."""
+    """MapEdges / GatherEdges lower bounds vs ConnectIt, unsampled and with
+    k-out sampling (UF-Rem-CAS finish), all warm (``_warm_passes``). A
+    primitive's cell is the median of its own timing, which leaves out
+    building GatherEdges' vertex table; a ConnectIt cell is the median
+    end-to-end call."""
     rows = []
     for name in suite.GRAPH_NAMES:
         g = suite.get(name, scale)
         edges = g.df(spark)
-        _, map_t = map_edges(edges)
-        _, gather_t = gather_edges(spark, edges, g.n)
-        _, info_ns = connectivity(spark, g, "none", "uf-rem-cas")
-        sample, st_ = cached_sample(spark, name, "kout", scale)
-        _, info_s = finish_with_sample(spark, g, sample, "uf-rem-cas", sampling="kout", sample_time=st_)
+        truth = _truth(g)
+        runs = _warm_passes({
+            "map": lambda: map_edges(edges),
+            "gather": lambda: gather_edges(spark, edges, g.n),
+            "none": lambda: connectivity(spark, g, "none", "uf-rem-cas"),
+            "kout": lambda: connectivity(spark, g, "kout", "uf-rem-cas"),
+        })
+        for scheme in ("none", "kout"):
+            assert all(same_partition(out[0], truth) for _, out in runs[scheme]), (name, scheme)
         rows.append(
-            {"graph": name, "map_s": map_t, "gather_s": gather_t,
-             "cc_nosample_s": info_ns["total_time_s"], "cc_sample_s": info_s["total_time_s"]}
+            {"graph": name,
+             "map_s": float(np.median([out[1] for _, out in runs["map"]])),
+             "gather_s": float(np.median([out[1] for _, out in runs["gather"]])),
+             "cc_nosample_s": float(np.median([t for t, _ in runs["none"]])),
+             "cc_sample_s": float(np.median([t for t, _ in runs["kout"]]))}
         )
     return pd.DataFrame(rows)

@@ -18,5 +18,5 @@ pair would set off CPython's cyclic garbage collector every ~700 pairs. Scheduli
 nondeterminism is exercised in tests by permuting the operation order — the
 observable effect of interleavings for these linearizably-monotone algorithms.
 """
-from repro.unionfind.core import UFSpec, UFState, Counters, run_components  # noqa: F401
+from repro.unionfind.core import UFSpec, UFState, Counters, full_shortcut, run_components  # noqa: F401
 from repro.unionfind.variants import make_union, VARIANTS, FINDS, SPLICES  # noqa: F401

@@ -109,14 +109,17 @@ class UFState:
         Returns the compressed labeling as a new numpy array and writes it
         back into the parents list in place.
         """
-        p = np.array(self.parent, dtype=np.int64)
-        while True:
-            pp = p[p]
-            if np.array_equal(pp, p):
-                break
-            p = pp
+        p = full_shortcut(np.array(self.parent, dtype=np.int64))
         self.parent[:] = p.tolist()
         return p
+
+
+def full_shortcut(p: np.ndarray) -> np.ndarray:
+    """Pointer jumping: P ← P[P] until no entry moves. Returns P, or a new
+    array if any entry moved."""
+    while not np.array_equal(q := p[p], p):
+        p = q
+    return p
 
 
 def as_batches(n: int, *batches) -> tuple[np.ndarray, ...]:

@@ -12,6 +12,7 @@ from repro.baselines.workeff import workeff_cc
 from repro.graphs import generators as gen
 from repro.graphs import suite
 from repro.graphs.ground_truth import canonicalize, cc_labels, same_partition
+from repro.unionfind import UFSpec, run_components
 
 GRAPHS = {
     "CW": suite.get("CW", "test"),
@@ -61,8 +62,18 @@ def test_gap_afforest(spark):
 
 def test_patwary(spark):
     for g in GRAPHS.values():
-        labels, _ = patwary_rm(g)
+        labels, _ = patwary_rm(spark, g)
         assert same_partition(labels, _truth(g))
+
+
+def test_patwary_is_rem_lock_splice(spark):
+    """PatwaryRM's finish does the work of one UF-Rem-Lock{SpliceAtomic} pass
+    over every edge, counter for counter."""
+    g = GRAPHS["CW"]
+    _, info = patwary_rm(spark, g)
+    _, st = run_components(g.n, np.stack([g.src, g.dst], axis=1), UFSpec("uf-rem-lock", "naive", "splice"))
+    assert info["counters"] == st.c.as_dict()
+    assert info["sampling"] == "none" and info["finish"] == "uf-rem-lock"
 
 
 def test_stinger_like_incremental():

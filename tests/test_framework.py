@@ -14,6 +14,7 @@ from repro.core.framework import (
     identify_frequent,
     run_sampling,
 )
+from repro.core.sampling import kout_sample
 from repro.graphs import generators as gen
 from repro.graphs import suite
 from repro.graphs.ground_truth import canonicalize, cc_labels, same_partition
@@ -43,7 +44,7 @@ FINISHES = list(UF_FINISHES) + ["sv", "stergiou", "labelprop", "lt-crfa", "lt-pr
 @pytest.mark.parametrize("finish", FINISHES)
 def test_matrix(spark, scheme_sample, finish):
     scheme, sample = scheme_sample
-    labels, info = finish_with_sample(spark, G, sample, finish, sampling=scheme)
+    labels, info = finish_with_sample(spark, G, sample, finish)
     assert same_partition(labels, TRUTH), (scheme, finish)
     assert info["finish_time_s"] >= 0
 
@@ -64,10 +65,30 @@ def test_contracted_finish_starts_no_spark_job(spark, spark_jobs, scheme, finish
     if scheme not in _samples:
         _samples[scheme] = run_sampling(spark, G, scheme)
     j0 = spark_jobs()
-    labels, info = finish_with_sample(spark, G, _samples[scheme], finish, sampling=scheme)
+    labels, info = finish_with_sample(spark, G, _samples[scheme], finish)
     assert spark_jobs() == j0, (scheme, finish)
     assert info["finish_edges"] > 0 and info["rounds"] >= 1
     assert same_partition(labels, TRUTH), (scheme, finish)
+
+
+def test_finish_reads_scheme_and_time_from_sample(spark):
+    """The sample alone tells the finish how it was made: a k-out sample
+    passed with no other argument gets the contracted SV finish."""
+    sample = run_sampling(spark, G, "kout")
+    labels, info = finish_with_sample(spark, G, sample, "sv")
+    assert sample.scheme == "kout" and sample.time_s > 0
+    assert info["sampling"] == "kout" and info["sample_time_s"] == sample.time_s
+    assert 0 < info["contracted_n"] < G.n
+    assert info["total_time_s"] == sample.time_s + info["finish_time_s"]
+    assert same_partition(labels, TRUTH)
+
+
+def test_unlabelled_sample_is_not_taken_for_none(spark):
+    """A sample built without run_sampling has no scheme, and is finished as
+    sampled, not as the unsampled setting."""
+    labels, info = finish_with_sample(spark, G, kout_sample(spark, G), "sv")
+    assert info["sampling"] == "" and "contracted_n" in info
+    assert same_partition(labels, TRUTH)
 
 
 def test_contract_edges():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import sampling
+from repro.core.framework import run_sampling
 from repro.core.sampling import (
     KOUT_VARIANTS,
     bfs_sample,
@@ -176,14 +177,14 @@ def test_ldd_sample_composable(spark, cw, cw_truth):
 
 
 def test_ldd_sample_metrics(spark, cw):
-    s = ldd_sample(spark, cw, beta=0.2, seed=0)
+    s = run_sampling(spark, cw, "ldd", beta=0.2, seed=0)
     ic = s.intercomponent_fraction(cw)
     assert 0.0 <= ic < 1.0
-    assert s.rounds > 0 and s.time_s > 0
+    assert s.rounds > 0 and s.time_s > 0 and s.scheme == "ldd"
 
 
-def test_identity_sample(cw):
-    s = identity_sample(cw)
+def test_identity_sample(spark, cw):
+    s = identity_sample(spark, cw)
     assert np.array_equal(s.labels, np.arange(cw.n))
     assert s.coverage() == 1 / cw.n
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.spanning_forest import spanning_forest
+from repro.core.framework import connectivity, spanning_forest
 from repro.graphs import generators as gen
 from repro.graphs import suite
 from repro.graphs.ground_truth import canonicalize, cc_labels, num_components, same_partition
@@ -27,10 +27,20 @@ def _assert_valid_forest(g, truth, forest):
     assert same_partition(fl, truth)
 
 
-@pytest.mark.parametrize("sampling", ["none", "kout", "bfs", "ldd"])
+# ``via``: the forest spanning_forest returns, or the one connectivity leaves
+# in info["forest"] (ids "<sampling>-connectivity")
+@pytest.mark.parametrize(
+    ("sampling", "via"),
+    [pytest.param(s, via, id=s if via == "spanning_forest" else f"{s}-{via}")
+     for via in ("spanning_forest", "connectivity") for s in ("none", "kout", "bfs", "ldd")],
+)
 @pytest.mark.parametrize("finish", ["uf-rem-cas", "uf-async", "uf-hooks", "uf-early", "uf-rem-lock", "uf-jtb", "sv"])
-def test_forest_matrix(spark, sampling, finish):
-    labels, forest, info = spanning_forest(spark, G, sampling, finish)
+def test_forest_matrix(spark, sampling, via, finish):
+    if via == "spanning_forest":
+        labels, forest, info = spanning_forest(spark, G, sampling, finish)
+    else:
+        labels, info = connectivity(spark, G, sampling, finish)
+        forest = info["forest"]
     assert same_partition(labels, TRUTH)
     _assert_valid_forest(G, TRUTH, forest)
 
