@@ -88,37 +88,36 @@ class StreamingConnectIt:
 
         Python-loop substrate on purpose: all streaming variants share one
         substrate so relative throughput mirrors algorithmic work (see
-        DESIGN.md measurement note). The rounds run on a numpy copy of the
-        parents list, converted once per batch and written back in place.
+        DESIGN.md measurement note). The rounds run on the parents list in
+        place, as the Type 1 and 3 loops do; only the pointer jumping after a
+        round that hooked runs on an array. SV hooks round-start roots only
+        (writeMin against a copy of the round's start); root-up Liu-Tarjan
+        hooks any current root. The parents are stars at every round's start
+        (queries only read, and a round that hooked is fully shortcut) and a
+        hook lowers a root's label, so a round that hooks nothing is the
+        first to leave the parents unchanged, and the last.
         """
         if not len(edges):
             return
-        p = np.array(self.state.parent, dtype=np.int64)
+        p = self.state.parent
         sv = self.algorithm == "sv"
         us, vs = edges.T.tolist()  # flat id lists, reused by every round
         writes = 0
         rounds = 0
         while True:
             rounds += 1
-            prev = p.copy()
+            root = p.copy() if sv else p
+            hooked = 0
             for u, v in zip(us, vs):
-                pu, pv = int(p[u]), int(p[v])
+                pu, pv = p[u], p[v]
                 l, h = (pu, pv) if pu < pv else (pv, pu)
-                if l != h:
-                    if sv:
-                        # hook round-start roots only, via writeMin
-                        if prev[h] == h and l < p[h]:
-                            p[h] = l
-                            writes += 1
-                    else:
-                        # root-up connect: update h if it is currently a root
-                        if p[h] == h and l < p[h]:
-                            p[h] = l
-                            writes += 1
-            p = full_shortcut(p)
-            if np.array_equal(p, prev):
+                if l != h and root[h] == h and l < p[h]:
+                    p[h] = l
+                    hooked += 1
+            if not hooked:
                 break
+            writes += hooked
+            p[:] = full_shortcut(np.array(p, dtype=np.int64)).tolist()
         c = self.state.c.a
         c[READS] += 2 * len(us) * rounds
         c[WRITES] += writes
-        self.state.parent[:] = p.tolist()

@@ -1,12 +1,12 @@
 """Breadth-first search as a driver-held frontier over a Spark edgeMap.
 
-Each round maps the frontier over the edge table (``_edge_map``: a broadcast
-join and a min-aggregation, the dataflow analog of Ligra's edgeMap) and keeps
-the vertices not reached before, each with its minimum frontier neighbour as
-BFS parent. The vertex subset and the tree live on the driver as numpy arrays.
-Direction-optimization (the paper's dense iterations) has no cost asymmetry in
-dataflow: both sparse and dense traversal are the same join, so the
-optimization is a no-op here; we note this in DESIGN.md.
+Each round maps the frontier over the edge table (``_edge_map``: a join of the
+frontier with the edges and a min-aggregation, the dataflow analog of Ligra's
+edgeMap) and keeps the vertices not reached before, each with its minimum
+frontier neighbour as BFS parent. The vertex subset and the tree live on the
+driver as numpy arrays. Direction-optimization (the paper's dense iterations)
+has no cost asymmetry in dataflow: both sparse and dense traversal are the
+same join, so the optimization is a no-op here; we note this in DESIGN.md.
 """
 from __future__ import annotations
 

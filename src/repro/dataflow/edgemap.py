@@ -30,12 +30,16 @@ def _edge_map(
     given). A vertex listed twice in the frontier counts with its smaller key.
     ``(key, src)`` is packed into the one int64 ``key·n + src``.
 
-    On a DataFrame only the frontier is broadcast: the edge table stays where
-    it is, the minimum is a hash aggregate of a plain long, and the query costs
-    the broadcast, the aggregation (one exchange, none on a single-partition
-    table) and the collect. On a ``(src, dst)`` array pair the minima are two
-    ``np.minimum.at`` passes on the driver, one over the frontier and one per
-    ``dst`` over the gathered edges, and no Spark job runs.
+    On a DataFrame only the frontier moves: the edge table stays where it is
+    and the minimum is a hash aggregate of a plain long. On a one-partition
+    table the frontier is coalesced to one partition and hash-joined, so the
+    join and the aggregation need no exchange and the query is one Spark job,
+    the collect. On a table of several partitions the frontier is broadcast,
+    and the query costs the broadcast, the aggregation's exchange and the
+    collect; a hash join there would shuffle every edge. On a ``(src, dst)``
+    array pair the minima are two ``np.minimum.at`` passes on the driver, one
+    over the frontier and one per ``dst`` over the gathered edges, and no
+    Spark job runs.
 
     A key or frontier vertex outside ``[0, n)`` raises ValueError, since it
     would break the packing. So does an edge endpoint outside ``[0, n)``:
@@ -64,7 +68,11 @@ def _spark_min(
     spark: SparkSession, edges: DataFrame, n: int, src: np.ndarray, packed: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     frontier = spark.createDataFrame(pd.DataFrame({"src": src, "k": packed}), "src long, k long")
-    best = edges.join(F.broadcast(frontier), "src").groupBy("dst").agg(F.min("k").alias("k")).toPandas()
+    if edges.rdd.getNumPartitions() == 1:
+        frontier = frontier.coalesce(1).hint("shuffle_hash")
+    else:
+        frontier = F.broadcast(frontier)
+    best = edges.join(frontier, "src").groupBy("dst").agg(F.min("k").alias("k")).toPandas()
     dst, packed = (best[c].to_numpy(dtype=np.int64) for c in ("dst", "k"))
     _check_ids(dst, n, "edge endpoint")
     return dst, packed

@@ -215,3 +215,54 @@ def test_ldd_jobs_per_round(spark, spark_jobs, grid, grid_edges):
     j0 = spark_jobs()
     _, rounds = ldd_labels(spark, grid_edges, grid.n, beta=0.4, seed=2)
     assert spark_jobs() - j0 <= 3 * rounds
+
+
+@pytest.mark.parametrize("keyed", [False, True])
+def test_edge_map_one_partition_is_one_job(spark, spark_jobs, keyed):
+    """On a one-partition edge table the frontier is hash-joined with no
+    exchange and no broadcast: the edgeMap is one Spark job, the collect."""
+    g = gen.grid(4, 5)
+    e = edge_frame(spark, g.src, g.dst)
+    assert e.rdd.getNumPartitions() == 1
+    frontier = np.array([0, 7, 7, 19])
+    key = np.array([3, 1, 2, 0]) if keyed else None
+    j0 = spark_jobs()
+    d, _, _ = _edge_map(spark, e, g.n, frontier, key)
+    assert spark_jobs() - j0 == 1
+    assert len(d) > 0
+
+
+def test_bfs_one_job_per_round(spark, spark_jobs):
+    """Every BFS round on a one-partition table, the terminating one
+    included, is exactly one Spark job."""
+    g = gen.path_graph(12)
+    e = g.df(spark)
+    j0 = spark_jobs()
+    _, rounds = bfs_tree(spark, e, g.n, 0)
+    assert rounds == 11
+    assert spark_jobs() - j0 == rounds + 1
+
+
+@pytest.mark.parametrize("keyed", [False, True])
+def test_edge_map_broadcast_path_matches(spark, monkeypatch, keyed):
+    """A table of several partitions takes the broadcast join and returns the
+    one-partition hash join's (dst, key, src), and the driver arrays', with a
+    frontier vertex listed twice and key = src = n - 1."""
+    if spark.sparkContext.defaultParallelism < 2:
+        pytest.skip("a multi-partition edge table needs two cores")
+    g = gen.grid(4, 5)
+    n = g.n
+    frontier = np.array([n - 1, 3, 7, 3, 12, n - 1])
+    key = np.array([n - 1, 6, 2, 1, 9, n - 1]) if keyed else None
+    one = edge_frame(spark, g.src, g.dst)
+    monkeypatch.setattr(gen, "_ROWS_PER_PARTITION", 8)
+    several = edge_frame(spark, g.src, g.dst)
+    assert one.rdd.getNumPartitions() == 1 < several.rdd.getNumPartitions()
+    want = _edge_map(spark, (g.src, g.dst), n, frontier, key)
+    if keyed:
+        assert (n - 1, n - 1) in zip(want[1].tolist(), want[2].tolist())
+    for e in (one, several):
+        d, k, s = _edge_map(spark, e, n, frontier, key)
+        got = np.argsort(d)
+        assert np.array_equal(d[got], want[0]) and np.array_equal(s[got], want[2])
+        assert np.array_equal(k[got], want[1]) if keyed else k is None

@@ -1,11 +1,15 @@
 """Harness smoke tests at test scale: tables build, have the right columns,
 and reproduce the paper's qualitative shapes on the tiny stand-ins."""
+from types import SimpleNamespace
+
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.harness import paper_numbers as P
 from repro.harness import tables as T
 from repro.graphs import suite
+from repro.graphs.ground_truth import cc_labels
 
 
 def test_paper_numbers_shapes():
@@ -84,3 +88,27 @@ def test_jobs_common_puts_src_on_driver_path(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert out.stdout.strip() == str(root / "src" / "repro" / "__init__.py")
+
+
+def test_table3_systems_are_warm(spark, monkeypatch):
+    """A sys:* row is the median of PASSES timed calls after one untimed call,
+    with their min-max; the untimed call's time shows nowhere."""
+    g = suite.get("RO", "test")
+    labels = cc_labels(g.n, g.src, g.dst)
+    timed = [float(T.PASSES - i) for i in range(T.PASSES)]
+    costs, clock = iter([100.0] + timed), [0.0]
+
+    def counted(spark, g):
+        clock[0] += next(costs)
+        return labels, {"rounds": 7}
+
+    monkeypatch.setattr(T, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(T, "bfscc", counted)
+    for other in ("workeff_cc", "multistep", "gap_sv", "gap_afforest", "patwary_rm"):
+        monkeypatch.setattr(T, other, lambda spark, g: (labels, {}))
+    df = T.table3(spark, "test", graphs=("RO",), schemes=())
+    assert next(costs, None) is None  # 1 + PASSES calls, no more
+    assert len(df) == 6 and (df.time_s == 0).sum() == 5
+    row = df.set_index("algorithm").loc["sys:BFSCC"]
+    assert (row.time_s, row.time_s_min, row.time_s_max) == (np.median(timed), min(timed), max(timed))
+    assert row.rounds == 7

@@ -8,7 +8,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core import minbased
-from repro.core.framework import connectivity
+from repro.core.framework import UF_FINISHES, connectivity
 from repro.graphs import suite
 from repro.graphs.ground_truth import canonicalize
 from repro.oracle import assert_equivalent
@@ -48,7 +48,7 @@ def test_minbased_components_via_duckdb(spark, tiny_graphs, finish):
         assert_equivalent(got, COMPONENTS_SQL, e=g.pandas(), verts=pd.DataFrame({"v": v}))
 
 
-@pytest.mark.parametrize("finish", sorted(MINBASED) + ["uf-rem-cas", "uf-jtb", "uf-hooks"])
+@pytest.mark.parametrize("finish", sorted(MINBASED) + list(UF_FINISHES))
 @pytest.mark.parametrize("sampling", ["kout", "bfs", "ldd"])
 def test_sampled_finish_components_via_duckdb(spark, tiny_graphs, sampling, finish):
     """A sampled min-based finish runs on the contracted driver edges and a
@@ -56,6 +56,17 @@ def test_sampled_finish_components_via_duckdb(spark, tiny_graphs, sampling, fini
     still match the SQL components."""
     for g in (tiny_graphs[2], tiny_graphs[3]):
         labels, _ = connectivity(spark, g, sampling, finish)
+        v = np.arange(g.n)
+        got = spark.createDataFrame(pd.DataFrame({"v": v, "label": labels}))
+        assert_equivalent(got, COMPONENTS_SQL, e=g.pandas(), verts=pd.DataFrame({"v": v}))
+
+
+@pytest.mark.parametrize("finish", UF_FINISHES)
+def test_unsampled_uf_finish_components_via_duckdb(spark, tiny_graphs, finish):
+    """An unsampled union-find finish runs over every edge of g from the
+    identity labeling; its labeling must match the SQL components."""
+    for g in (tiny_graphs[2], tiny_graphs[3]):
+        labels, _ = connectivity(spark, g, "none", finish)
         v = np.arange(g.n)
         got = spark.createDataFrame(pd.DataFrame({"v": v, "label": labels}))
         assert_equivalent(got, COMPONENTS_SQL, e=g.pandas(), verts=pd.DataFrame({"v": v}))
