@@ -31,4 +31,4 @@ def multistep(spark: SparkSession, g: Graph, seed: int = 0) -> tuple[np.ndarray,
         has_cov = np.zeros(g.n, dtype=bool)
         np.logical_or.at(has_cov, lp_labels, covered)
         labels = np.where(covered | has_cov[lp_labels], src, lp_labels)
-    return labels, {"bfs_rounds": bfs_rounds, "lp_rounds": lp_rounds}
+    return labels, {"rounds": bfs_rounds + lp_rounds, "bfs_rounds": bfs_rounds, "lp_rounds": lp_rounds}

@@ -172,7 +172,7 @@ def finish_with_sample(
         )
         info["finish_edges"] = int((sample.labels[g.src] != frequent).sum()) if sampled else g.m_directed
         info["counters"] = st.c.as_dict()
-        hooks = [st.forest]
+        hooks, rounds = [st.forest], 0  # one driver pass, no dataflow rounds
     else:
         runner = _minbased_runner(finish)
         # SV, the one root-based min-based finish, also returns its hook edges
@@ -192,7 +192,7 @@ def finish_with_sample(
                     s, d = hooks[0].T
                     e = eid[np.searchsorted(pairs[:, 0] * nc + pairs[:, 1], s * nc + d)]
                     hooks = [np.stack([g.src[e], g.dst[e]], axis=1)]
-        info["rounds"] = rounds
+    info["rounds"] = rounds
     if finish in ROOT_BASED:
         info["forest"] = np.concatenate([sample.forest, *hooks])
     info["finish_time_s"] = time.perf_counter() - t1

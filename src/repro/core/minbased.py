@@ -139,15 +139,27 @@ def liu_tarjan(
 
 def stergiou(spark: SparkSession, edges: Edges, n: int) -> tuple[np.ndarray, int]:
     """Stergiou et al.'s BSP algorithm: ParentConnect from a *previous* parents
-    array, min-update into the current one, then Shortcut (paper B.2.5)."""
+    array, min-update into the current one, then Shortcut (paper B.2.5).
+
+    A round that moves nothing over the previous array has not reached the
+    fixpoint: a label lowered last round has not been read yet. That round
+    reads its round-start array instead, and the run stops only if that moves
+    nothing either.
+    """
     # the round-start P one round back; rounds 1 and 2 both read the identity
     prev = np.arange(n, dtype=np.int64)
+
+    def connect(P: np.ndarray, read: np.ndarray) -> np.ndarray:
+        P = _write_min(P, *_neighbour_min(spark, edges, n, read))
+        return P[P]
 
     def step(P: np.ndarray) -> np.ndarray:
         nonlocal prev
         old, prev = prev, P
-        P = _write_min(P, *_neighbour_min(spark, edges, n, old))
-        return P[P]
+        Q = connect(P, old)
+        if np.array_equal(Q, P) and not np.array_equal(old, P):
+            Q = connect(P, P)
+        return Q
 
     return _iterate(n, step, "Stergiou")
 

@@ -88,22 +88,29 @@ def _spread(times: list[float]) -> tuple[float, float, float]:
     return float(np.median(times)), min(times), max(times)
 
 
-def _warm_passes(systems: dict[str, Callable[[], object]]) -> dict[str, list[tuple[float, object]]]:
-    """Each system's ``PASSES`` warm passes, as (seconds, output) pairs.
+def _warm_passes(
+    systems: dict[str, Callable[[], object]],
+) -> tuple[dict[str, tuple[float, object]], dict[str, list[tuple[float, object]]]]:
+    """Each system's cold pass and its ``PASSES`` warm passes, as (seconds, output) pairs.
 
-    Every system runs once untimed first. The timed passes then rotate the
-    system order, so no system always runs first.
+    Every system runs once first, in the given order: the cold pass, which
+    pays for what a first call builds (on the first system, the JVM's
+    warm-up too) and is left out of the warm cells. The warm passes then
+    rotate the system order, so no system always runs first.
     """
     names = list(systems)
-    for fn in systems.values():
-        fn()
+    cold = {}
+    for s, fn in systems.items():
+        t0 = time.perf_counter()
+        out = fn()
+        cold[s] = (time.perf_counter() - t0, out)
     runs: dict[str, list[tuple[float, object]]] = {s: [] for s in names}
     for p in range(PASSES):
         for s in names[p:] + names[:p]:
             t0 = time.perf_counter()
             out = systems[s]()
             runs[s].append((time.perf_counter() - t0, out))
-    return runs
+    return cold, runs
 
 
 def table1(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
@@ -112,7 +119,8 @@ def table1(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
     reported numbers; our comparators are the same systems rebuilt here).
 
     Each cell is warm (``_warm_passes``, after the graph's edge table is
-    built): the median pass with its min–max."""
+    built): the median pass with its min–max, and ``first_s``, the cold
+    pass."""
     rows = []
     for name in ("HL14", "HL12"):
         g = suite.get(name, scale)
@@ -126,11 +134,12 @@ def table1(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
             "GAP-SV": lambda: gap_sv(spark, g),
             "GAP-Afforest": lambda: gap_afforest(spark, g),
         }
-        for sysname, runs in _warm_passes(systems).items():
+        cold, warm = _warm_passes(systems)
+        for sysname, runs in warm.items():
             assert all(same_partition(np.asarray(out[0]), truth) for _, out in runs), (name, sysname)
             dt, lo, hi = _spread([t for t, _ in runs])
-            rows.append({"graph": name, "system": sysname, "time_s": dt,
-                         "time_s_min": lo, "time_s_max": hi, "n": g.n, "m": g.m})
+            rows.append({"graph": name, "system": sysname, "time_s": dt, "time_s_min": lo,
+                         "time_s_max": hi, "first_s": cold[sysname][0], "n": g.n, "m": g.m})
     df = pd.DataFrame(rows)
     best = df[df.system.str.startswith("ConnectIt")].set_index("graph").time_s
     df["speedup_vs_connectit"] = [
@@ -195,14 +204,15 @@ def table3(
                     }
                 )
         if include_systems and (systems_graphs is None or name in systems_graphs):
-            for sysname, runs in _warm_passes({
+            _, warm = _warm_passes({
                 "sys:BFSCC": lambda: bfscc(spark, g),
                 "sys:WorkeffCC": lambda: workeff_cc(spark, g),
                 "sys:MultiStep": lambda: multistep(spark, g),
                 "sys:GAP-SV": lambda: gap_sv(spark, g),
                 "sys:GAP-Afforest": lambda: gap_afforest(spark, g),
                 "sys:PatwaryRM": lambda: patwary_rm(spark, g),
-            }).items():
+            })
+            for sysname, runs in warm.items():
                 assert all(same_partition(np.asarray(out[0]), truth) for _, out in runs), (name, sysname)
                 dt, lo, hi = _spread([t for t, _ in runs])
                 _, (_, info) = runs[0]
@@ -341,13 +351,14 @@ def table8(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
     k-out sampling (UF-Rem-CAS finish), all warm (``_warm_passes``). A
     primitive's cell is the median of its own timing, which leaves out
     building GatherEdges' vertex table; a ConnectIt cell is the median
-    end-to-end call."""
+    end-to-end call. Each ``*_first_s`` cell is the same time in the cold
+    pass."""
     rows = []
     for name in suite.GRAPH_NAMES:
         g = suite.get(name, scale)
         edges = g.df(spark)
         truth = _truth(g)
-        runs = _warm_passes({
+        cold, runs = _warm_passes({
             "map": lambda: map_edges(edges),
             "gather": lambda: gather_edges(spark, edges, g.n),
             "none": lambda: connectivity(spark, g, "none", "uf-rem-cas"),
@@ -358,8 +369,12 @@ def table8(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
         rows.append(
             {"graph": name,
              "map_s": float(np.median([out[1] for _, out in runs["map"]])),
+             "map_first_s": cold["map"][1][1],
              "gather_s": float(np.median([out[1] for _, out in runs["gather"]])),
+             "gather_first_s": cold["gather"][1][1],
              "cc_nosample_s": float(np.median([t for t, _ in runs["none"]])),
-             "cc_sample_s": float(np.median([t for t, _ in runs["kout"]]))}
+             "cc_nosample_first_s": cold["none"][0],
+             "cc_sample_s": float(np.median([t for t, _ in runs["kout"]])),
+             "cc_sample_first_s": cold["kout"][0]}
         )
     return pd.DataFrame(rows)

@@ -47,6 +47,20 @@ def test_multistep(spark, gname):
     assert same_partition(labels, _truth(g))
 
 
+@pytest.mark.parametrize("gname", sorted(GRAPHS))
+def test_multistep_reports_rounds(spark, gname):
+    """MultiStep's rounds are its BFS rounds plus its label-propagation rounds."""
+    _, info = multistep(spark, GRAPHS[gname])
+    assert info["rounds"] == info["bfs_rounds"] + info["lp_rounds"] >= 1
+
+
+@pytest.mark.parametrize("system", [gap_afforest, patwary_rm])
+def test_union_find_systems_report_zero_rounds(spark, system):
+    """GAP-Afforest and PatwaryRM finish with one driver union-find pass, which
+    runs no rounds."""
+    assert system(spark, GRAPHS["CW"])[1]["rounds"] == 0
+
+
 def test_gap_sv(spark):
     g = GRAPHS["CW"]
     labels, info = gap_sv(spark, g)

@@ -2,6 +2,7 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.framework import (
     ALL_FINISHES,
@@ -69,6 +70,33 @@ def test_contracted_finish_starts_no_spark_job(spark, spark_jobs, scheme, finish
     assert spark_jobs() == j0, (scheme, finish)
     assert info["finish_edges"] > 0 and info["rounds"] >= 1
     assert same_partition(labels, TRUTH), (scheme, finish)
+
+
+@pytest.mark.parametrize("finish", UF_FINISHES)
+def test_uf_finish_reports_zero_rounds(spark, scheme_sample, finish):
+    """A union-find finish is one driver pass: it reports 0 rounds, not none."""
+    _, info = finish_with_sample(spark, G, scheme_sample[1], finish)
+    assert info["rounds"] == 0
+
+
+# the random graphs of test_spanning_forest's forest property: edges on
+# vertices 0..23 of 28, so vertices 24..27 are always isolated
+edge_lists = st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=30)
+
+
+@given(pairs=edge_lists)
+@settings(max_examples=3, deadline=None)
+def test_every_sampling_finish_pair_agrees(spark, pairs):
+    """On random graphs with several components, every sampling x finish pair
+    labels the graph by its components."""
+    e = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    g = gen.from_pairs("random", 28, e[:, 0], e[:, 1])
+    truth = canonicalize(cc_labels(g.n, g.src, g.dst))
+    for scheme in SAMPLINGS:
+        sample = run_sampling(spark, g, scheme)
+        for finish in ALL_FINISHES:
+            labels, _ = finish_with_sample(spark, g, sample, finish)
+            assert np.array_equal(labels, truth), (scheme, finish)
 
 
 def test_finish_reads_scheme_and_time_from_sample(spark):

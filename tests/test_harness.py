@@ -112,3 +112,51 @@ def test_table3_systems_are_warm(spark, monkeypatch):
     row = df.set_index("algorithm").loc["sys:BFSCC"]
     assert (row.time_s, row.time_s_min, row.time_s_max) == (np.median(timed), min(timed), max(timed))
     assert row.rounds == 7
+
+
+def test_warm_passes_reports_cold_pass(monkeypatch):
+    """The first pass of each system comes back apart from its warm passes,
+    with its own time and output."""
+    clock = [0.0]
+
+    def system(name, costs):
+        def run():
+            cost = next(costs)
+            clock[0] += cost
+            return name, cost
+        return run
+
+    monkeypatch.setattr(T, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    cold, warm = T._warm_passes({
+        "a": system("a", iter([50.0] + [1.0] * T.PASSES)),
+        "b": system("b", iter([70.0] + [2.0] * T.PASSES)),
+    })
+    assert cold == {"a": (50.0, ("a", 50.0)), "b": (70.0, ("b", 70.0))}
+    assert warm == {"a": [(1.0, ("a", 1.0))] * T.PASSES, "b": [(2.0, ("b", 2.0))] * T.PASSES}
+
+
+def test_table1_first_s_is_the_cold_pass(spark, monkeypatch):
+    """Table 1 prints each system's cold pass as ``first_s``, beside the
+    median of its warm passes."""
+    clock = [0.0]
+
+    def fake(cost_first, cost_warm):
+        costs = {}
+
+        def run(spark, g, *args, **kwargs):
+            n = costs[g.name] = costs.get(g.name, 0) + 1
+            clock[0] += cost_first if n == 1 else cost_warm
+            return cc_labels(g.n, g.src, g.dst), {}
+        return run
+
+    monkeypatch.setattr(T, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    get = suite.get
+    monkeypatch.setattr(T.suite, "get", lambda name, scale: get(name, "test"))
+    monkeypatch.setattr(T, "connectivity", fake(9.0, 1.0))
+    for i, other in enumerate(("bfscc", "workeff_cc", "multistep", "gap_sv", "gap_afforest")):
+        monkeypatch.setattr(T, other, fake(20.0 + i, 2.0 + i))
+    df = T.table1(spark, "mini").set_index(["graph", "system"])
+    row = df.loc[("HL12", "ConnectIt (kout + UF-Rem-CAS)")]
+    assert (row.time_s, row.first_s) == (1.0, 9.0)
+    assert df.loc[("HL14", "GAP-Afforest")].first_s == 24.0
+    assert list(df.columns[:4]) == ["time_s", "time_s_min", "time_s_max", "first_s"]

@@ -85,6 +85,16 @@ def test_stergiou(spark, small_edges, rmat_edges):
         assert rounds == want, g.name
 
 
+@pytest.mark.parametrize("on_spark", [False, True])
+def test_stergiou_reads_the_lowered_label(spark, on_spark):
+    """On the path 1 - 2 - 0, round 1 lowers P[2] to 0 and round 2 still reads
+    the identity, so it moves nothing; vertex 1 must still get label 0."""
+    g = gen.from_pairs("path", 3, [0, 1], [2, 2])
+    e = g.df(spark) if on_spark else (g.src, g.dst)
+    labels, _ = stergiou(spark, e, g.n)
+    assert labels.tolist() == [0, 0, 0]
+
+
 def test_shiloach_vishkin(spark, small_edges, rmat_edges):
     for g, e, want in ((SMALL, small_edges, 2), (RMAT, rmat_edges, 3)):
         truth = cc_labels(g.n, g.src, g.dst)

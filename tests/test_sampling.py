@@ -1,6 +1,8 @@
 """Sampling methods: composability (Definition 3.1), forest validity
 (Definition B.2), and the quality metrics of Tables 6/7."""
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -151,6 +153,72 @@ def test_kout_one_spark_job(spark, spark_jobs, cw):
     j0 = spark_jobs()
     kout_sample(spark, cw, k=2, variant="hybrid")
     assert spark_jobs() - j0 == 1
+
+
+@pytest.mark.parametrize("variant", KOUT_VARIANTS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kout_prepared_query_repeats(spark, spark_jobs, monkeypatch, cw, variant, k):
+    """The second and third calls on one graph re-run its prepared selection
+    query: each is one Spark job and returns the first call's pairs, labels
+    and forest, which are also those of a newly built graph's first call."""
+    fresh = gen.Graph(cw.name, cw.n, cw.src.copy(), cw.dst.copy())
+    cw.df(spark), fresh.df(spark)
+    seen, run_components = [], sampling.run_components
+
+    def record(n, pairs, *args, **kwargs):
+        seen.append(np.asarray(pairs, dtype=np.int64))
+        return run_components(n, pairs, *args, **kwargs)
+
+    monkeypatch.setattr(sampling, "run_components", record)
+    outs, jobs = [], []
+    for g in (cw, cw, cw, fresh):
+        j0 = spark_jobs()
+        s = kout_sample(spark, g, k=k, variant=variant)
+        jobs.append(spark_jobs() - j0)
+        outs.append((seen[-1], s.labels, s.forest))
+    assert jobs == [1, 1, 1, 1]
+    for out in outs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(out, outs[0]))
+
+
+def _skipped_stages(spark, j0: int, j1: int) -> list[int]:
+    """Skipped stages of each Spark job in ``[j0, j1)``, sorted: a stage whose
+    output an earlier job left behind is skipped, not run. (Adaptive execution
+    runs each map stage as its own job, in no fixed order.)"""
+    sc = spark.sparkContext._jsc.sc()
+    sc.listenerBus().waitUntilEmpty()
+    return sorted(sc.statusStore().job(j).numSkippedStages() for j in range(j0, j1))
+
+
+@pytest.mark.parametrize("variant", KOUT_VARIANTS)
+def test_kout_several_partitions_build_per_call(spark, spark_jobs, monkeypatch, cw, variant):
+    """On a table of several partitions the selection has an exchange, and a
+    re-run plan would skip its map stage and reuse the last call's shuffle
+    output. So every call builds its own query: each starts the first call's
+    jobs and skips no more stages than the first."""
+    g = gen.Graph(cw.name, cw.n, cw.src.copy(), cw.dst.copy())
+    monkeypatch.setattr(gen, "_ROWS_PER_PARTITION", len(g.src) // 2)
+    assert g.df(spark).rdd.getNumPartitions() == 2
+    calls = []
+    for _ in range(3):
+        j0 = spark_jobs()
+        kout_sample(spark, g, k=3, variant=variant)
+        calls.append(_skipped_stages(spark, j0, spark_jobs()))
+    assert calls[1] == calls[0] and calls[2] == calls[0]
+    assert g.df(spark) not in sampling._PREPARED
+
+
+def test_kout_prepared_query_dies_with_its_table(spark):
+    """A prepared query is kept only as long as the graph's edge table."""
+    g = gen.rmat(120, 480, seed=3)
+    kout_sample(spark, g)
+    table = weakref.ref(g.df(spark))
+    assert table() in sampling._PREPARED
+    gc.collect()
+    before = len(sampling._PREPARED)
+    del g
+    gc.collect()
+    assert table() is None and len(sampling._PREPARED) == before - 1
 
 
 def test_bfs_sample_composable(spark, cw, cw_truth):
