@@ -58,9 +58,9 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    Broadcast joins are disabled, and no query asks for one: every edge
+    table is one partition, so an edgeMap hash-joins its driver-held
+    frontier with no exchange.
     """
     s = (
         SparkSession.builder.appName("repro")

@@ -20,7 +20,6 @@ def bfscc(spark: SparkSession, g: Graph) -> tuple[np.ndarray, dict]:
     labels = np.full(g.n, -1, dtype=np.int64)
     rounds = 0
     n_bfs = 0
-    v = 0
     while True:
         uncovered = np.flatnonzero(labels < 0)
         if len(uncovered) == 0:

@@ -5,7 +5,7 @@ trees (every vertex points to itself or to a root) that are a valid partial
 connectivity labeling. k-out comes in the four variants of Appendix C.3
 (afforest / pure / hybrid / maxdeg); each selects its edges in one Spark
 query of per-vertex minima over packed int64 orders, planned once per
-one-partition edge table and re-run on every later call, and the sampled
+edge table and re-run on every later call, and the sampled
 components are contracted with a union-find algorithm. BFS and LDD sampling
 run on the dataflow kernels.
 
@@ -70,7 +70,7 @@ def identity_sample(spark: SparkSession, g: Graph) -> SampleResult:
     return SampleResult(labels=np.arange(g.n, dtype=np.int64))
 
 
-# Each one-partition edge table's planned k-out selection queries, keyed on
+# Each edge table's planned k-out selection queries, keyed on
 # the table and then on (variant, k, seed). An entry lives as long as its table.
 _PREPARED: weakref.WeakKeyDictionary[DataFrame, dict[tuple[str, int, int], DataFrame]] = (
     weakref.WeakKeyDictionary()
@@ -128,21 +128,17 @@ def _selection(edges: DataFrame, n: int, variant: str, k: int, seed: int) -> Dat
 def _pick_pairs(edges: DataFrame, n: int, variant: str, k: int, seed: int) -> np.ndarray:
     """The selected ``(src, dst)`` pairs, ordered by (pick, src, rank): one Spark job.
 
-    On a one-partition table the selection query is built once and re-run:
-    a later call skips its analysis, optimization and planning, and still
-    scans every edge, since a plan with no exchange keeps no stage output
-    between runs. On several partitions the plan has an exchange whose
-    shuffle map output a re-run would reuse, so each call builds its own.
+    The selection query is built once per (table, variant, k, seed) and
+    re-run: a later call skips its analysis, optimization and planning, and
+    still scans every edge. That holds because ``edge_frame`` gives the table
+    one partition, so the plan has no exchange and keeps no stage output
+    between runs; a plan with an exchange would reuse the last run's shuffle
+    map output, a cached result rather than a sample.
     """
-    if edges.rdd.getNumPartitions() == 1:
-        prepared = _PREPARED.setdefault(edges, {})
-        key = (variant, k, seed)
-        if key not in prepared:
-            prepared[key] = _selection(edges, n, variant, k, seed)
-        query = prepared[key]
-    else:
-        query = _selection(edges, n, variant, k, seed)
-    p = query.toPandas().to_numpy(dtype=np.int64)
+    prepared = _PREPARED.setdefault(edges, {})
+    if (variant, k, seed) not in prepared:
+        prepared[variant, k, seed] = _selection(edges, n, variant, k, seed)
+    p = prepared[variant, k, seed].toPandas().to_numpy(dtype=np.int64)
     return p[np.lexsort((p[:, 2], p[:, 1], p[:, 0]))][:, [1, 3]]
 
 

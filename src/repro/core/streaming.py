@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.unionfind import UFSpec, UFState, full_shortcut, make_union
-from repro.unionfind.core import READS, UNIONS, WRITES, as_batches, id_pairs
+from repro.unionfind.core import READS, UNIONS, WRITES, as_batches, check_vertex_count, id_pairs
 from repro.unionfind.finds import make_connected
 
 
@@ -35,21 +35,22 @@ class StreamingConnectIt:
     ``algorithm`` is a :class:`UFSpec` (Type 1/3) or one of ``"sv"`` /
     ``"lt-root"`` (Type 2; ``lt-root`` is the CRFA-style root-up variant the
     paper finds fastest in streaming). Vertex ids are validated against
-    ``[0, n)`` on every call; a bad id raises ``ValueError``.
+    ``[0, n)`` on every call; a bad id, or an ``n`` that is not a
+    non-negative integer, raises ``ValueError``.
     """
 
     def __init__(self, n: int, algorithm: UFSpec | str = UFSpec("uf-rem-cas", "naive", "split-one")):
+        check_vertex_count(n)
         self.n = n
         self.algorithm = algorithm
+        self.state = UFState(n)
         if isinstance(algorithm, UFSpec):
             self.type = 3 if (
                 algorithm.variant in ("uf-rem-cas", "uf-rem-lock") and algorithm.splice == "splice"
             ) else 1
-            self.state = UFState(n)
             self._union = make_union(algorithm, self.state)
         elif algorithm in ("sv", "lt-root"):
             self.type = 2
-            self.state = UFState(n)
         else:
             raise KeyError(f"unknown streaming algorithm {algorithm!r}")
         self._connected = make_connected(self.state)

@@ -18,7 +18,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.unionfind.core import as_batches
+from repro.unionfind.core import as_batches, check_vertex_count
 
 
 def _dedupe_symmetrize(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -37,24 +37,21 @@ def _dedupe_symmetrize(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.nda
     return a[idx], b[idx]
 
 
-_ROWS_PER_PARTITION = 1 << 20
-
-
 def edge_frame(spark: SparkSession, src: np.ndarray, dst: np.ndarray) -> DataFrame:
-    """Materialized ``(src, dst)`` DataFrame for tables that queries read repeatedly.
+    """Materialized one-partition ``(src, dst)`` DataFrame for tables read repeatedly.
 
     ``createDataFrame`` alone plans a ``LocalTableScan`` that serializes every
     row into the tasks of each query reading it; ``localCheckpoint`` stores the
     rows once in the executors (eagerly) and leaves a plan that only points at
     them. The schema is explicit, so an edgeless table needs no rows to infer
-    it from. The table keeps one partition per 2^20 rows, at least one and at most
-    one per core: on a smaller table a task's fixed cost outweighs its share of
-    a scan, and parallel tasks only crowd out the JVM's compiler and GC threads,
-    which makes every query's time depend on how far the JVM has warmed up.
+    it from. The table is one partition, in row order: a plan over it needs no
+    exchange, which lets the edgeMap hash-join its frontier in one Spark job
+    and k-out re-run a prepared query. Parallel tasks would crowd out the JVM's
+    compiler and GC threads, which makes a query's time depend on how far the
+    JVM has warmed up.
     """
-    parts = max(1, min(spark.sparkContext.defaultParallelism, len(src) // _ROWS_PER_PARTITION))
     pdf = pd.DataFrame({"src": src, "dst": dst})
-    return spark.createDataFrame(pdf, "src long, dst long").coalesce(parts).localCheckpoint()
+    return spark.createDataFrame(pdf, "src long, dst long").coalesce(1).localCheckpoint()
 
 
 @dataclass
@@ -71,8 +68,17 @@ class Graph:
     _df: tuple[SparkSession, DataFrame] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        """Reject a bad ``n``, ids outside ``[0, n)`` and an asymmetric edge
+        list: the union-find and min-based finishes read a missing ``(v, u)``
+        differently, so it would give a silently wrong partition."""
+        check_vertex_count(self.n)
         # np.stack raises ValueError too when src and dst differ in length
-        as_batches(self.n, np.stack([np.asarray(self.src), np.asarray(self.dst)], axis=1))
+        src, dst = as_batches(self.n, np.stack([np.asarray(self.src), np.asarray(self.dst)], axis=1))[0].T
+        key = src * np.int64(self.n) + dst
+        if not (key[1:] >= key[:-1]).all():  # from_pairs emits its rows in key order
+            key = np.sort(key)
+        if not np.array_equal(key, np.sort(dst * np.int64(self.n) + src)):
+            raise ValueError("edge list is not symmetric: some (u, v) has no (v, u)")
 
     @property
     def m(self) -> int:

@@ -1,6 +1,7 @@
 """Parents-array state, instrumentation counters, and the edge-array boundary."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,14 @@ def full_shortcut(p: np.ndarray) -> np.ndarray:
     while not np.array_equal(q := p[p], p):
         p = q
     return p
+
+
+def check_vertex_count(n) -> None:
+    """Raise ``ValueError`` unless ``n`` is a non-negative integer: a negative
+    or fractional count would pass every id range check and yield a wrong
+    or empty parents array."""
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
 
 
 def as_batches(n: int, *batches) -> tuple[np.ndarray, ...]:

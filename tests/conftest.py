@@ -1,6 +1,7 @@
 """Shared test fixtures: Spark tuning and common tiny graphs."""
 import numpy as np
 import pytest
+from pyspark.sql import DataFrame
 
 from repro.graphs import generators as gen
 
@@ -8,7 +9,7 @@ from repro.graphs import generators as gen
 @pytest.fixture(scope="session", autouse=True)
 def _quiet_small_shuffles(spark):
     """Iteration state in tests is tiny — 8 shuffle partitions keeps each
-    dataflow round cheap without touching the session's broadcast settings."""
+    dataflow round cheap."""
     spark.conf.set("spark.sql.shuffle.partitions", "8")
     spark.sparkContext.setLogLevel("ERROR")
     yield
@@ -18,6 +19,24 @@ def _quiet_small_shuffles(spark):
 def spark_jobs(spark):
     """Number of Spark jobs submitted so far in the session (DAGScheduler.numTotalJobs)."""
     return lambda: spark.sparkContext._jsc.sc().dagScheduler().numTotalJobs()
+
+
+@pytest.fixture
+def count_edge_maps(monkeypatch):
+    """``count_edge_maps(module)`` wraps that module's ``_edge_map`` and returns
+    a function giving how many calls since then ran on a Spark DataFrame."""
+
+    def watch(module):
+        calls, edge_map = [], module._edge_map
+
+        def counted(spark, edges, *args):
+            calls.append(isinstance(edges, DataFrame))
+            return edge_map(spark, edges, *args)
+
+        monkeypatch.setattr(module, "_edge_map", counted)
+        return lambda: sum(calls)
+
+    return watch
 
 
 @pytest.fixture(scope="session")

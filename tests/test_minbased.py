@@ -4,6 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import minbased
 from repro.core.framework import MINBASED_FINISHES, _minbased_runner
 from repro.core.minbased import (
     LT_CODES,
@@ -132,12 +133,15 @@ def test_minbased_labels_via_oracle(spark, small_edges):
 
 
 @pytest.mark.parametrize("finish", ["sv", "stergiou", "labelprop", "lt-crfa", "lt-pus", "lt-euf"])
-def test_minbased_jobs_per_round(spark, spark_jobs, rmat_edges, finish):
-    """Each round is one edgeMap: at most 3 Spark jobs (broadcast, aggregation
-    exchange, collect); writeMin, shortcuts and the stop test run on the driver."""
+def test_minbased_jobs_per_round(spark, spark_jobs, count_edge_maps, rmat_edges, finish):
+    """Each round is one edgeMap (two when Stergiou re-reads its round-start
+    array), and each edgeMap one Spark job; writeMin, shortcuts and the stop
+    test run on the driver."""
+    edge_maps = count_edge_maps(minbased)
     j0 = spark_jobs()
     _, rounds, *_ = _minbased_runner(finish)(spark, rmat_edges, RMAT.n)
-    assert spark_jobs() - j0 <= 3 * rounds
+    assert spark_jobs() - j0 == edge_maps()
+    assert rounds <= edge_maps() <= (2 if finish == "stergiou" else 1) * rounds
 
 
 @pytest.mark.parametrize("finish", ["sv", "stergiou", "labelprop", "lt-crfa", "lt-pus", "lt-euf"])

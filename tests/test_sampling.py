@@ -181,33 +181,6 @@ def test_kout_prepared_query_repeats(spark, spark_jobs, monkeypatch, cw, variant
         assert all(np.array_equal(a, b) for a, b in zip(out, outs[0]))
 
 
-def _skipped_stages(spark, j0: int, j1: int) -> list[int]:
-    """Skipped stages of each Spark job in ``[j0, j1)``, sorted: a stage whose
-    output an earlier job left behind is skipped, not run. (Adaptive execution
-    runs each map stage as its own job, in no fixed order.)"""
-    sc = spark.sparkContext._jsc.sc()
-    sc.listenerBus().waitUntilEmpty()
-    return sorted(sc.statusStore().job(j).numSkippedStages() for j in range(j0, j1))
-
-
-@pytest.mark.parametrize("variant", KOUT_VARIANTS)
-def test_kout_several_partitions_build_per_call(spark, spark_jobs, monkeypatch, cw, variant):
-    """On a table of several partitions the selection has an exchange, and a
-    re-run plan would skip its map stage and reuse the last call's shuffle
-    output. So every call builds its own query: each starts the first call's
-    jobs and skips no more stages than the first."""
-    g = gen.Graph(cw.name, cw.n, cw.src.copy(), cw.dst.copy())
-    monkeypatch.setattr(gen, "_ROWS_PER_PARTITION", len(g.src) // 2)
-    assert g.df(spark).rdd.getNumPartitions() == 2
-    calls = []
-    for _ in range(3):
-        j0 = spark_jobs()
-        kout_sample(spark, g, k=3, variant=variant)
-        calls.append(_skipped_stages(spark, j0, spark_jobs()))
-    assert calls[1] == calls[0] and calls[2] == calls[0]
-    assert g.df(spark) not in sampling._PREPARED
-
-
 def test_kout_prepared_query_dies_with_its_table(spark):
     """A prepared query is kept only as long as the graph's edge table."""
     g = gen.rmat(120, 480, seed=3)

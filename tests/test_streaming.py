@@ -93,6 +93,12 @@ def test_empty_batch():
     assert len(ans) == 0
 
 
+@pytest.mark.parametrize("n", [-3, 2.5])
+def test_rejects_bad_vertex_count(n):
+    with pytest.raises(ValueError, match="vertex count"):
+        StreamingConnectIt(n)
+
+
 def test_unknown_algorithm_raises():
     with pytest.raises(KeyError):
         StreamingConnectIt(4, "bogus")
