@@ -38,10 +38,10 @@ def get_spark(shuffle_partitions: int = 16) -> SparkSession:
     return s
 
 
-def run_table(fn, name: str, scale: str | None = None, shuffle_partitions: int = 16):
+def run_table(fn, name: str, shuffle_partitions: int = 16):
     from repro.harness.tables import df_to_markdown, to_markdown
 
-    scale = scale or (sys.argv[1] if len(sys.argv) > 1 else "mini")
+    scale = sys.argv[1] if len(sys.argv) > 1 else "mini"
     spark = get_spark(shuffle_partitions)
     df = fn(spark, scale)
     path = to_markdown(df, f"{name}_{scale}")

@@ -20,5 +20,5 @@ def gap_sv(spark: SparkSession, g: Graph) -> tuple[np.ndarray, dict]:
     return connectivity(spark, g, "none", "sv")
 
 
-def gap_afforest(spark: SparkSession, g: Graph, k: int = 2) -> tuple[np.ndarray, dict]:
-    return connectivity(spark, g, "kout", "uf-rem-cas", sampling_opts={"k": k, "variant": "afforest"})
+def gap_afforest(spark: SparkSession, g: Graph) -> tuple[np.ndarray, dict]:
+    return connectivity(spark, g, "kout", "uf-rem-cas", sampling_opts={"variant": "afforest"})

@@ -11,9 +11,8 @@ from repro.dataflow.bfs import bfs_tree
 from repro.graphs.generators import Graph, edge_frame
 
 
-def multistep(spark: SparkSession, g: Graph, seed: int = 0) -> tuple[np.ndarray, dict]:
-    gen = np.random.default_rng(seed)
-    src = int(gen.integers(0, g.n))
+def multistep(spark: SparkSession, g: Graph) -> tuple[np.ndarray, dict]:
+    src = int(np.random.default_rng(0).integers(0, g.n))
     tree, bfs_rounds = bfs_tree(spark, g.df(spark), g.n, src)
     vs = tree["v"].to_numpy()
     labels = np.arange(g.n, dtype=np.int64)

@@ -15,19 +15,24 @@ from repro.dataflow.ldd import ldd_labels
 from repro.graphs.generators import Graph, edge_frame
 
 
-def workeff_cc(
-    spark: SparkSession, g: Graph, beta: float = 0.2, seed: int = 0, max_levels: int = 40
-) -> tuple[np.ndarray, dict]:
+# LDD levels before WorkeffCC gives up. Each level keeps about a β share of
+# the edges between clusters, so a graph needs about log_{1/β} m levels.
+MAX_LEVELS = 40
+
+
+def workeff_cc(spark: SparkSession, g: Graph) -> tuple[np.ndarray, dict]:
     n = g.n
     src, dst = g.src, g.dst
     # composed[v] = current contracted id of original vertex v
     composed = np.arange(n, dtype=np.int64)
     levels = 0
     total_rounds = 0
-    while len(src) and levels < max_levels:
+    while len(src):
+        if levels == MAX_LEVELS:
+            raise RuntimeError(f"WorkeffCC exceeded {MAX_LEVELS} LDD levels")
         levels += 1
         nc = int(composed.max()) + 1
-        lab, rounds = ldd_labels(spark, edge_frame(spark, src, dst), nc, beta=beta, seed=seed + levels)
+        lab, rounds = ldd_labels(spark, edge_frame(spark, src, dst), nc, seed=levels)
         total_rounds += rounds
         clab = np.arange(nc, dtype=np.int64)
         clab[lab["v"].to_numpy()] = lab["center"].to_numpy()

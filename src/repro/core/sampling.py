@@ -33,6 +33,7 @@ from repro.graphs.ground_truth import canonicalize
 from repro.unionfind import UFSpec, run_components
 
 KOUT_VARIANTS = ("afforest", "pure", "hybrid", "maxdeg")
+BFS_COVERAGE = 0.10  # Algorithm 5 stops at a component of more than 10 % of the vertices
 
 
 def identify_frequent(labels: np.ndarray) -> tuple[int, int]:
@@ -52,7 +53,6 @@ class SampleResult:
     time_s: float = 0.0
     edges_processed: int = 0  # the paper's Y metric
     rounds: int = 0
-    info: dict = field(default_factory=dict)
 
     def coverage(self) -> float:
         return identify_frequent(self.labels)[1] / len(self.labels)
@@ -148,7 +148,6 @@ def kout_sample(
     k: int = 2,
     variant: str = "hybrid",
     seed: int = 0,
-    uf_spec: UFSpec | None = None,
 ) -> SampleResult:
     """k-out sampling (Algorithm 4) with the four selection variants.
 
@@ -162,13 +161,12 @@ def kout_sample(
     if k < 1:
         raise ValueError(f"k-out sampling needs k >= 1, got {k}")
     pairs = _pick_pairs(g.df(spark), g.n, variant, k, seed)
-    labels, st = run_components(g.n, pairs, uf_spec or UFSpec("uf-rem-cas", "naive", "split-one"))
+    labels, st = run_components(g.n, pairs, UFSpec("uf-rem-cas", "naive", "split-one"))
     # full compression already applied: labeling is height-1 (roots + leaves)
     return SampleResult(
         labels=labels,
         forest=st.forest,
         edges_processed=len(pairs),
-        info={"variant": variant, "k": k, "counters": st.c.as_dict()},
     )
 
 
@@ -179,11 +177,10 @@ def _tree_edges(tree) -> np.ndarray:
     return np.stack([p[keep], v[keep]], axis=1)
 
 
-def bfs_sample(
-    spark: SparkSession, g: Graph, c: int = 3, seed: int = 0, coverage_cutoff: float = 0.10
-) -> SampleResult:
+def bfs_sample(spark: SparkSession, g: Graph, c: int = 3, seed: int = 0) -> SampleResult:
     """BFS sampling (Algorithm 5): up to ``c`` tries from random sources,
-    stopping once a component covering >10 % of the vertices is found."""
+    stopping once a component covering more than ``BFS_COVERAGE`` of the
+    vertices is found."""
     gen = np.random.default_rng(seed)
     edges = g.df(spark)
     degs = g.degrees()
@@ -197,7 +194,7 @@ def bfs_sample(
         rounds += r
         vs = tree["v"].to_numpy()
         edges_processed += int(degs[vs].sum())
-        if len(vs) > coverage_cutoff * g.n:
+        if len(vs) > BFS_COVERAGE * g.n:
             labels[vs] = src
             forest = _tree_edges(tree)
             break
@@ -211,11 +208,9 @@ def bfs_sample(
     )
 
 
-def ldd_sample(
-    spark: SparkSession, g: Graph, beta: float = 0.2, seed: int = 0, permute: bool = False
-) -> SampleResult:
+def ldd_sample(spark: SparkSession, g: Graph, beta: float = 0.2, seed: int = 0) -> SampleResult:
     """LDD sampling (Algorithm 6): a single Miller–Peng–Xu round-set."""
-    lab, rounds = ldd_labels(spark, g.df(spark), g.n, beta=beta, seed=seed, permute=permute)
+    lab, rounds = ldd_labels(spark, g.df(spark), g.n, beta=beta, seed=seed)
     labels = np.arange(g.n, dtype=np.int64)
     labels[lab["v"].to_numpy()] = lab["center"].to_numpy()
     return SampleResult(
@@ -223,7 +218,6 @@ def ldd_sample(
         forest=_tree_edges(lab),
         edges_processed=g.m_directed,
         rounds=rounds,
-        info={"beta": beta, "permute": permute},
     )
 
 

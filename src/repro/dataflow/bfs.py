@@ -22,7 +22,6 @@ def bfs_tree(
     edges_df: DataFrame,
     n: int,
     source: int,
-    max_rounds: int | None = None,
 ) -> tuple[pd.DataFrame, int]:
     """BFS from ``source`` over vertices ``[0, n)``; returns (tree, rounds).
 
@@ -36,7 +35,7 @@ def bfs_tree(
     parent[source], dist[source] = source, 0
     frontier = np.array([source], dtype=np.int64)
     rounds = 0
-    while max_rounds is None or rounds < max_rounds:
+    while True:
         dst, _, src = _edge_map(spark, edges_df, n, frontier)
         new = dist[dst] < 0
         if not new.any():

@@ -112,17 +112,6 @@ class Graph:
         indptr = np.concatenate([[0], np.cumsum(counts)])
         return indptr.astype(np.int64), indices
 
-    def with_weights(self, seed: int = 0, mean: float = 1.0) -> pd.DataFrame:
-        """Undirected weighted edge list (u < v) with Exp(mean) weights.
-
-        Used by the AMSF application; weights are symmetric by construction.
-        """
-        mask = self.src < self.dst
-        u, v = self.src[mask], self.dst[mask]
-        g = np.random.default_rng(seed)
-        w = g.exponential(mean, len(u)) + 1e-6
-        return pd.DataFrame({"u": u, "v": v, "w": w})
-
 
 def from_pairs(name: str, n: int, src, dst, **meta) -> Graph:
     s, d = _dedupe_symmetrize(n, src, dst)

@@ -83,7 +83,7 @@ class UFState:
 
     __slots__ = ("parent", "hooks", "prio", "c", "forest")
 
-    def __init__(self, n: int, labels: np.ndarray | None = None, seed: int = 0):
+    def __init__(self, n: int, labels: np.ndarray | None = None):
         if labels is None:
             self.parent = list(range(n))
         else:
@@ -98,10 +98,9 @@ class UFState:
             self.hooks = [-1] * len(self.parent)
         return self.hooks
 
-    def ensure_prio(self, seed: int = 0) -> list[int]:
-        if self.prio is None:
-            g = np.random.default_rng(seed)
-            self.prio = g.permutation(len(self.parent)).tolist()
+    def ensure_prio(self) -> list[int]:
+        if self.prio is None:  # seed 0: every run links by the same priorities
+            self.prio = np.random.default_rng(0).permutation(len(self.parent)).tolist()
         return self.prio
 
     def compress_all(self) -> np.ndarray:
@@ -177,7 +176,6 @@ def run_components(
     spec: UFSpec,
     labels: np.ndarray | None = None,
     skip_label: int | None = None,
-    seed: int = 0,
 ) -> tuple[np.ndarray, UFState]:
     """Run a union-find variant over an edge array ((k,2) integer ids in [0, n)).
 
@@ -190,7 +188,7 @@ def run_components(
     from repro.unionfind.variants import make_union
 
     (edges,) = as_batches(n, edges)
-    st = UFState(n, labels, seed=seed)
+    st = UFState(n, labels)
     union = make_union(spec, st)
     if skip_label is not None and labels is not None:
         init = np.asarray(labels, dtype=np.int64)

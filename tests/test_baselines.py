@@ -40,6 +40,15 @@ def test_workeff(spark, gname):
     assert info["levels"] >= 1
 
 
+def test_workeff_raises_past_its_level_budget(spark, monkeypatch):
+    """A run that would need more LDD levels than the budget raises instead
+    of returning the partial labeling: one level leaves a 200-vertex path in
+    several clusters."""
+    monkeypatch.setattr("repro.baselines.workeff.MAX_LEVELS", 1)
+    with pytest.raises(RuntimeError, match="1 LDD levels"):
+        workeff_cc(spark, gen.path_graph(200))
+
+
 @pytest.mark.parametrize("gname", sorted(GRAPHS))
 def test_multistep(spark, gname):
     g = GRAPHS[gname]

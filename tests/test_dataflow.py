@@ -48,13 +48,6 @@ def test_bfs_partial_component(spark):
     assert vs == {0, 1, 2, 3, 4}
 
 
-def test_bfs_max_rounds(spark):
-    g = gen.path_graph(10)
-    tree, rounds = bfs_tree(spark, g.df(spark), g.n, 0, max_rounds=3)
-    assert rounds == 3
-    assert len(tree) == 4
-
-
 @pytest.mark.parametrize("source", [-1, 10])
 def test_bfs_rejects_bad_source(spark, source):
     g = gen.path_graph(10)

@@ -97,16 +97,6 @@ def test_disjoint_union_offsets():
     assert not (((g.src < 4) & (g.dst >= 4)) | ((g.src >= 4) & (g.dst < 4))).any()
 
 
-def test_with_weights():
-    g = gen.grid(4, 4)
-    w = g.with_weights(seed=1)
-    assert len(w) == g.m
-    assert (w.u < w.v).all()
-    assert (w.w > 0).all()
-    w2 = g.with_weights(seed=1)
-    assert np.allclose(w.w, w2.w)
-
-
 def test_web_like_ordering_locality():
     """First-listed neighbors are intra-cluster — the kout-afforest pathology."""
     g = gen.web_like(6, 20, seed=0)

@@ -110,8 +110,39 @@ def test_table3_systems_are_warm(spark, monkeypatch):
     assert next(costs, None) is None  # 1 + PASSES calls, no more
     assert len(df) == 6 and (df.time_s == 0).sum() == 5
     row = df.set_index("algorithm").loc["sys:BFSCC"]
-    assert (row.time_s, row.time_s_min, row.time_s_max) == (np.median(timed), min(timed), max(timed))
+    spread = (np.median(timed), min(timed), max(timed))
+    assert row.time_s == row.finish_time_s
+    assert (row.finish_time_s, row.finish_time_s_min, row.finish_time_s_max) == spread
     assert row.rounds == 7
+
+
+def test_table3_finishes_are_warm(spark, monkeypatch):
+    """A finish cell is the median of PASSES timed ``finish_with_sample`` calls
+    after one untimed call, with their min-max; ``time_s`` adds the shared
+    sample's time to that median."""
+    g = suite.get("RO", "test")
+    labels = cc_labels(g.n, g.src, g.dst)
+    algos = T.UF_ALGOS + T.MIN_ALGOS
+    timed = [float(T.PASSES - i) for i in range(T.PASSES)]
+    costs, clock = {}, [0.0]
+
+    def counted(spark, g, sample, algo):
+        cost = costs.setdefault(algo, iter([100.0] + [10 * algos.index(algo) + t for t in timed]))
+        clock[0] += next(cost)
+        return labels, {"finish_edges": 5, "rounds": 3}
+
+    monkeypatch.setattr(T, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(T, "finish_with_sample", counted)
+    df = T.table3(spark, "test", graphs=("RO",), schemes=("kout",), include_systems=False)
+    sample = T.cached_sample(spark, "RO", "kout", "test")
+    assert list(df.algorithm) == list(algos) and set(costs) == set(algos)
+    assert all(next(c, None) is None for c in costs.values())  # 1 + PASSES calls each
+    for row in df.itertuples():
+        own = [10 * algos.index(row.algorithm) + t for t in timed]
+        spread = (np.median(own), min(own), max(own))
+        assert (row.finish_time_s, row.finish_time_s_min, row.finish_time_s_max) == spread
+        assert row.time_s == sample.time_s + row.finish_time_s
+        assert (row.finish_edges, row.rounds) == (5, 3)
 
 
 def test_warm_passes_reports_cold_pass(monkeypatch):

@@ -1,16 +1,12 @@
 """Oracle substrate integration: DuckDB equality checks over graph-derived
 relational results, including connected components computed in SQL."""
-from functools import partial
-
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import minbased
-from repro.core.framework import UF_FINISHES, connectivity
+from repro.core.framework import ALL_FINISHES, UF_FINISHES, connectivity
 from repro.graphs import suite
-from repro.graphs.ground_truth import canonicalize
 from repro.oracle import assert_equivalent
 
 # Min-label propagation in SQL, independent of the repo's code: every vertex
@@ -27,46 +23,24 @@ WITH RECURSIVE reach(v, label) AS (
 SELECT v, MIN(label) AS label FROM reach GROUP BY v
 """
 
-MINBASED = {
-    "sv": minbased.shiloach_vishkin,
-    "stergiou": minbased.stergiou,
-    "labelprop": minbased.label_propagation,
-    # one Liu-Tarjan variant per connect rule
-    "lt-crfa": partial(minbased.liu_tarjan, spec="crfa"),
-    "lt-prf": partial(minbased.liu_tarjan, spec="prf"),
-    "lt-euf": partial(minbased.liu_tarjan, spec="euf"),
-}
+# Every finish runs unsampled and after k-out sampling. BFS and LDD sampling
+# (an LDD case costs about 2.5 s, a k-out case 0.3 s) run the union-find
+# finishes and one Liu-Tarjan code per connect rule beside SV, Stergiou and LP.
+SAMPLED_FINISHES = UF_FINISHES + ("sv", "stergiou", "labelprop", "lt-crfa", "lt-prf", "lt-euf")
+CASES = [(s, f) for s in ("none", "kout") for f in ALL_FINISHES] + [
+    (s, f) for s in ("bfs", "ldd") for f in SAMPLED_FINISHES
+]
 
 
-@pytest.mark.parametrize("finish", sorted(MINBASED))
-def test_minbased_components_via_duckdb(spark, tiny_graphs, finish):
+@pytest.mark.parametrize("sampling, finish", CASES)
+def test_finish_components_via_duckdb(spark, tiny_graphs, sampling, finish):
+    """Unsampled, a finish runs over every edge of g; sampled, a min-based
+    finish runs on the contracted driver edges and a union-find finish on g
+    seeded with the sample. Either way the labeling must match the SQL
+    components."""
     # the web-like graph and the disjoint union both have several components
     for g in (tiny_graphs[2], tiny_graphs[3]):
-        labels, *_ = MINBASED[finish](spark, g.df(spark), g.n)
-        v = np.arange(g.n)
-        got = spark.createDataFrame(pd.DataFrame({"v": v, "label": canonicalize(labels)}))
-        assert_equivalent(got, COMPONENTS_SQL, e=g.pandas(), verts=pd.DataFrame({"v": v}))
-
-
-@pytest.mark.parametrize("finish", sorted(MINBASED) + list(UF_FINISHES))
-@pytest.mark.parametrize("sampling", ["kout", "bfs", "ldd"])
-def test_sampled_finish_components_via_duckdb(spark, tiny_graphs, sampling, finish):
-    """A sampled min-based finish runs on the contracted driver edges and a
-    union-find finish on g seeded with the sample; the composed labeling must
-    still match the SQL components."""
-    for g in (tiny_graphs[2], tiny_graphs[3]):
         labels, _ = connectivity(spark, g, sampling, finish)
-        v = np.arange(g.n)
-        got = spark.createDataFrame(pd.DataFrame({"v": v, "label": labels}))
-        assert_equivalent(got, COMPONENTS_SQL, e=g.pandas(), verts=pd.DataFrame({"v": v}))
-
-
-@pytest.mark.parametrize("finish", UF_FINISHES)
-def test_unsampled_uf_finish_components_via_duckdb(spark, tiny_graphs, finish):
-    """An unsampled union-find finish runs over every edge of g from the
-    identity labeling; its labeling must match the SQL components."""
-    for g in (tiny_graphs[2], tiny_graphs[3]):
-        labels, _ = connectivity(spark, g, "none", finish)
         v = np.arange(g.n)
         got = spark.createDataFrame(pd.DataFrame({"v": v, "label": labels}))
         assert_equivalent(got, COMPONENTS_SQL, e=g.pandas(), verts=pd.DataFrame({"v": v}))
