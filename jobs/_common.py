@@ -26,10 +26,10 @@ os.environ.setdefault(
 from pyspark.sql import SparkSession  # noqa: E402
 
 
-def get_spark(shuffle_partitions: int = 16) -> SparkSession:
+def get_spark() -> SparkSession:
     s = (
         SparkSession.builder.appName("connectit-repro")
-        .config("spark.sql.shuffle.partitions", shuffle_partitions)
+        .config("spark.sql.shuffle.partitions", 16)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
@@ -38,14 +38,14 @@ def get_spark(shuffle_partitions: int = 16) -> SparkSession:
     return s
 
 
-def run_table(fn, name: str, shuffle_partitions: int = 16):
+def run_table(fn, name: str):
     from repro.harness.tables import df_to_markdown, to_markdown
 
     scale = sys.argv[1] if len(sys.argv) > 1 else "mini"
-    spark = get_spark(shuffle_partitions)
+    spark = get_spark()
     df = fn(spark, scale)
     path = to_markdown(df, f"{name}_{scale}")
     print(df_to_markdown(df))
-    print(f"\nwrote {path}")
+    print(f"\nwrote results/{path.name}")
     spark.stop()
     return df

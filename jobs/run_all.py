@@ -13,7 +13,7 @@ def main(scale: str = "mini") -> None:
         df = fn(spark, scale)
         path = T.to_markdown(df, f"table{i}_{scale}")
         print(T.df_to_markdown(df))
-        print(f"wrote {path}", flush=True)
+        print(f"wrote results/{path.name}", flush=True)
     spark.stop()
 
 

@@ -25,9 +25,8 @@ def bfscc(spark: SparkSession, g: Graph) -> tuple[np.ndarray, dict]:
         if len(uncovered) == 0:
             break
         src = int(uncovered[0])
-        tree, r = bfs_tree(spark, edges, g.n, src)
-        vs = tree["v"].to_numpy()
-        labels[vs] = src
+        parent, r = bfs_tree(spark, edges, g.n, src)
+        labels[parent >= 0] = src
         rounds += r
         n_bfs += 1
     return labels, {"rounds": rounds, "bfs_launches": n_bfs}

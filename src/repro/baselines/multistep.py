@@ -13,12 +13,10 @@ from repro.graphs.generators import Graph, edge_frame
 
 def multistep(spark: SparkSession, g: Graph) -> tuple[np.ndarray, dict]:
     src = int(np.random.default_rng(0).integers(0, g.n))
-    tree, bfs_rounds = bfs_tree(spark, g.df(spark), g.n, src)
-    vs = tree["v"].to_numpy()
+    parent, bfs_rounds = bfs_tree(spark, g.df(spark), g.n, src)
+    covered = parent >= 0
     labels = np.arange(g.n, dtype=np.int64)
-    labels[vs] = src
-    covered = np.zeros(g.n, dtype=bool)
-    covered[vs] = True
+    labels[covered] = src
     # label propagation over edges not inside the BFS-covered component
     keep = ~(covered[g.src] & covered[g.dst])
     rs, rd = g.src[keep], g.dst[keep]

@@ -32,10 +32,8 @@ def workeff_cc(spark: SparkSession, g: Graph) -> tuple[np.ndarray, dict]:
             raise RuntimeError(f"WorkeffCC exceeded {MAX_LEVELS} LDD levels")
         levels += 1
         nc = int(composed.max()) + 1
-        lab, rounds = ldd_labels(spark, edge_frame(spark, src, dst), nc, seed=levels)
+        clab, _, rounds = ldd_labels(spark, edge_frame(spark, src, dst), nc, seed=levels)
         total_rounds += rounds
-        clab = np.arange(nc, dtype=np.int64)
-        clab[lab["v"].to_numpy()] = lab["center"].to_numpy()
         # contract: relabel cluster centers densely, drop intra-cluster edges
         centers, dense = np.unique(clab, return_inverse=True)
         composed = dense[clab[composed]]

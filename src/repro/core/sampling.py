@@ -170,11 +170,10 @@ def kout_sample(
     )
 
 
-def _tree_edges(tree) -> np.ndarray:
-    """The ``(parent, v)`` edges of a BFS/LDD tree frame, roots dropped."""
-    v, p = tree["v"].to_numpy(np.int64), tree["parent"].to_numpy(np.int64)
-    keep = v != p
-    return np.stack([p[keep], v[keep]], axis=1)
+def _tree_edges(parent: np.ndarray) -> np.ndarray:
+    """The ``(parent[v], v)`` edges of a BFS/LDD parent array, roots and unreached vertices dropped."""
+    v = np.flatnonzero((parent >= 0) & (parent != np.arange(len(parent))))
+    return np.stack([parent[v], v], axis=1)
 
 
 def bfs_sample(spark: SparkSession, g: Graph, c: int = 3, seed: int = 0) -> SampleResult:
@@ -190,13 +189,13 @@ def bfs_sample(spark: SparkSession, g: Graph, c: int = 3, seed: int = 0) -> Samp
     edges_processed = 0
     for _ in range(c):
         src = int(gen.integers(0, g.n))
-        tree, r = bfs_tree(spark, edges, g.n, src)
+        parent, r = bfs_tree(spark, edges, g.n, src)
         rounds += r
-        vs = tree["v"].to_numpy()
-        edges_processed += int(degs[vs].sum())
-        if len(vs) > BFS_COVERAGE * g.n:
-            labels[vs] = src
-            forest = _tree_edges(tree)
+        reached = parent >= 0
+        edges_processed += int(degs[reached].sum())
+        if reached.sum() > BFS_COVERAGE * g.n:
+            labels[reached] = src
+            forest = _tree_edges(parent)
             break
     return SampleResult(
         # canonical min-id roots keep the min-ordering invariant that the
@@ -210,12 +209,10 @@ def bfs_sample(spark: SparkSession, g: Graph, c: int = 3, seed: int = 0) -> Samp
 
 def ldd_sample(spark: SparkSession, g: Graph, beta: float = 0.2, seed: int = 0) -> SampleResult:
     """LDD sampling (Algorithm 6): a single Miller–Peng–Xu round-set."""
-    lab, rounds = ldd_labels(spark, g.df(spark), g.n, beta=beta, seed=seed)
-    labels = np.arange(g.n, dtype=np.int64)
-    labels[lab["v"].to_numpy()] = lab["center"].to_numpy()
+    center, parent, rounds = ldd_labels(spark, g.df(spark), g.n, beta=beta, seed=seed)
     return SampleResult(
-        labels=canonicalize(labels),
-        forest=_tree_edges(lab),
+        labels=canonicalize(center),
+        forest=_tree_edges(parent),
         edges_processed=g.m_directed,
         rounds=rounds,
     )

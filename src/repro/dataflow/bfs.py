@@ -11,7 +11,6 @@ same join, so the optimization is a no-op here; we note this in DESIGN.md.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.dataflow.edgemap import _edge_map
@@ -22,26 +21,24 @@ def bfs_tree(
     edges_df: DataFrame,
     n: int,
     source: int,
-) -> tuple[pd.DataFrame, int]:
-    """BFS from ``source`` over vertices ``[0, n)``; returns (tree, rounds).
+) -> tuple[np.ndarray, int]:
+    """BFS from ``source`` over vertices ``[0, n)``; returns (parent, rounds).
 
-    ``tree`` has columns ``v, parent, dist``: every vertex reachable from
-    ``source`` with its BFS-tree parent (``parent = v`` for the source).
+    ``parent[v]`` is v's BFS-tree parent (``source`` for the source itself),
+    or -1 where v is not reachable from ``source``.
     """
     if not 0 <= source < n:
         raise ValueError(f"source {source} outside [0, {n})")
-    parent = np.full(n, -1, dtype=np.int64)
-    dist = np.full(n, -1, dtype=np.int32)  # -1: not reached yet
-    parent[source], dist[source] = source, 0
+    parent = np.full(n, -1, dtype=np.int64)  # -1: not reached yet
+    parent[source] = source
     frontier = np.array([source], dtype=np.int64)
     rounds = 0
     while True:
         dst, _, src = _edge_map(spark, edges_df, n, frontier)
-        new = dist[dst] < 0
+        new = parent[dst] < 0
         if not new.any():
             break
         frontier = dst[new]
+        parent[frontier] = src[new]
         rounds += 1
-        parent[frontier], dist[frontier] = src[new], rounds
-    vs = np.flatnonzero(dist >= 0)
-    return pd.DataFrame({"v": vs, "parent": parent[vs], "dist": dist[vs]}), rounds
+    return parent, rounds

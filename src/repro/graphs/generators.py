@@ -129,20 +129,6 @@ def grid(rows: int, cols: int, name: str = "grid") -> Graph:
     return from_pairs(name, n, src, dst, family="grid")
 
 
-def torus(side: int, d: int, name: str | None = None) -> Graph:
-    """d-dimensional torus on side**d vertices (each vertex has 2d neighbors)."""
-    n = side**d
-    ids = np.arange(n)
-    coords = np.stack([(ids // side**i) % side for i in range(d)], axis=1)
-    srcs, dsts = [], []
-    for i in range(d):
-        nb = coords.copy()
-        nb[:, i] = (nb[:, i] + 1) % side
-        dsts.append((nb * side ** np.arange(d)).sum(axis=1))
-        srcs.append(ids)
-    return from_pairs(name or f"torus{d}d", n, np.concatenate(srcs), np.concatenate(dsts), family="torus", d=d)
-
-
 def rmat(n: int, m: int, a: float = 0.5, b: float = 0.1, c: float = 0.1, seed: int = 0, name: str = "rmat") -> Graph:
     """RMAT power-law generator; paper uses (a,b,c)=(0.5,0.1,0.1)."""
     levels = max(1, int(np.ceil(np.log2(max(2, n)))))
@@ -181,11 +167,6 @@ def barabasi_albert(n: int, m_per: int, seed: int = 0, name: str = "ba") -> Grap
         pool = np.concatenate([pool, s, targets])
         v = hi
     return from_pairs(name, n, np.concatenate(src_l), np.concatenate(dst_l), family="ba")
-
-
-def erdos_renyi(n: int, m: int, seed: int = 0, name: str = "er") -> Graph:
-    g = np.random.default_rng(seed)
-    return from_pairs(name, n, g.integers(0, n, m), g.integers(0, n, m), family="er")
 
 
 def path_graph(n: int, name: str = "path") -> Graph:

@@ -127,10 +127,6 @@ def get(name: str, scale: str = "test") -> Graph:
     return _BUILDERS[name](_SCALES[scale])
 
 
-def suite(scale: str = "test", names: tuple[str, ...] | None = None) -> list[Graph]:
-    return [get(n, scale) for n in (names or GRAPH_NAMES)]
-
-
 @lru_cache(maxsize=8)
 def streaming_graph(kind: str, scale: str = "test") -> Graph:
     """RMAT (RM) and Barabási–Albert (BA) inputs for the streaming tables."""

@@ -64,7 +64,7 @@ def df_to_markdown(df: pd.DataFrame) -> str:
     def fmt(x) -> str:
         if isinstance(x, float):
             return f"{x:.4g}"
-        return "" if x is None else str(x)
+        return "" if x is None or x is pd.NA else str(x)
 
     cols = list(df.columns)
     lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
@@ -82,6 +82,12 @@ def to_markdown(df: pd.DataFrame, name: str) -> Path:
 
 # ---------------------------------------------------------------- Table 1 --
 PASSES = 3  # timed passes per warm cell (Tables 1, 3, 4, 5, 8)
+
+# The other systems of Tables 1 and 3, each called as ``fn(spark, g)``.
+SYSTEMS = {
+    "BFSCC": bfscc, "WorkeffCC": workeff_cc, "MultiStep": multistep,
+    "GAP-SV": gap_sv, "GAP-Afforest": gap_afforest, "PatwaryRM": patwary_rm,
+}
 
 
 def _spread(times: list[float]) -> tuple[float, float, float]:
@@ -114,38 +120,40 @@ def _warm_passes(
     return cold, runs
 
 
+def _cells(
+    systems: dict[str, Callable[[], tuple[np.ndarray, dict]]], truth: np.ndarray
+) -> dict[str, tuple[float, float, float, float, dict]]:
+    """Each system's warm cell: (median, min, max, cold pass seconds, info).
+
+    Every warm pass's labels are checked against ``truth``; ``info`` is the
+    first warm pass's."""
+    cold, warm = _warm_passes(systems)
+    cells = {}
+    for s, runs in warm.items():
+        assert all(same_partition(np.asarray(out[0]), truth) for _, out in runs), s
+        cells[s] = (*_spread([t for t, _ in runs]), cold[s][0], runs[0][1][1])
+    return cells
+
+
 def table1(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
     """Massive-graph race: ConnectIt fastest vs our implemented systems on the
     Hyperlink stand-ins (paper Table 1 compares against other publications'
     reported numbers; our comparators are the same systems rebuilt here).
 
-    Each cell is warm (``_warm_passes``, after the graph's edge table is
-    built): the median pass with its min–max, and ``first_s``, the cold
-    pass."""
+    Each cell is warm (``_cells``, after the graph's edge table is built):
+    the median pass with its min–max, and ``first_s``, the cold pass."""
     rows = []
     for name in ("HL14", "HL12"):
         g = suite.get(name, scale)
         g.df(spark)
-        truth = _truth(g)
-        systems = {
-            "ConnectIt (kout + UF-Rem-CAS)": lambda: connectivity(spark, g, "kout", "uf-rem-cas"),
-            "BFSCC (Ligra)": lambda: bfscc(spark, g),
-            "WorkeffCC (Shun et al.)": lambda: workeff_cc(spark, g),
-            "MultiStep (Slota et al.)": lambda: multistep(spark, g),
-            "GAP-SV": lambda: gap_sv(spark, g),
-            "GAP-Afforest": lambda: gap_afforest(spark, g),
-        }
-        cold, warm = _warm_passes(systems)
-        for sysname, runs in warm.items():
-            assert all(same_partition(np.asarray(out[0]), truth) for _, out in runs), (name, sysname)
-            dt, lo, hi = _spread([t for t, _ in runs])
-            rows.append({"graph": name, "system": sysname, "time_s": dt, "time_s_min": lo,
-                         "time_s_max": hi, "first_s": cold[sysname][0], "n": g.n, "m": g.m})
+        systems = {"ConnectIt (kout + UF-Rem-CAS)": functools.partial(connectivity, spark, g, "kout", "uf-rem-cas")}
+        systems.update({s: functools.partial(fn, spark, g) for s, fn in SYSTEMS.items()})
+        for s, (dt, lo, hi, first, _) in _cells(systems, _truth(g)).items():
+            rows.append({"graph": name, "system": s, "time_s": dt, "time_s_min": lo,
+                         "time_s_max": hi, "first_s": first, "n": g.n, "m": g.m})
     df = pd.DataFrame(rows)
     best = df[df.system.str.startswith("ConnectIt")].set_index("graph").time_s
-    df["speedup_vs_connectit"] = [
-        r.time_s / best[r.graph] for r in df.itertuples()
-    ]
+    df["speedup_vs_connectit"] = df.time_s / df.graph.map(best)
     return df
 
 
@@ -157,73 +165,45 @@ def table2(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
 # ---------------------------------------------------------------- Table 3 --
 UF_ALGOS = ("uf-early", "uf-hooks", "uf-async", "uf-rem-cas", "uf-rem-lock", "uf-jtb")
 MIN_ALGOS = ("lt-prf", "sv", "labelprop")
-LOW_DIAM = ("LJ", "CO", "TW", "FR", "CW")
+SCHEMES = ("none", "kout", "bfs", "ldd")
 
 
 def table3(
-    spark: SparkSession,
-    scale: str = "mini",
-    graphs: tuple[str, ...] = tuple(suite.GRAPH_NAMES),
-    include_systems: bool = True,
-    minbased_nosample_graphs: tuple[str, ...] = LOW_DIAM + ("RO",),
-    schemes: tuple[str, ...] = ("none", "kout", "bfs", "ldd"),
-    systems_graphs: tuple[str, ...] | None = None,
+    spark: SparkSession, scale: str = "mini", graphs: tuple[str, ...] = tuple(suite.GRAPH_NAMES)
 ) -> pd.DataFrame:
-    """Static running times: algorithm family × sampling scheme × graph.
+    """Static running times: algorithm family × sampling scheme × graph, plus
+    the other systems (``SYSTEMS``, rows ``sys:<name>``).
 
-    Wall-clock plus the work metric (edges processed in the finish phase);
-    the paper's ranking claims are checked against both. Every cell is warm
-    (``_warm_passes``): ``finish_time_s`` is the median pass with its
-    min–max, over the finishes of one (graph, scheme) or over the system
-    baselines of one graph. A finish's ``time_s`` adds the time of the warm
-    sampling pass it shares with the other finishes (``cached_sample``).
-    Min-based finishes without sampling are restricted to
-    ``minbased_nosample_graphs``, and the system baselines to
-    ``systems_graphs``, since dataflow rounds on high-diameter graphs
-    otherwise dominate the sweep budget.
+    Wall-clock plus the work metrics: edges processed in the finish phase and,
+    for a union-find finish, its parent reads; the paper's ranking claims are
+    checked against both. Every cell is warm (``_cells``): ``finish_time_s``
+    is the median pass with its min–max, over the finishes of one (graph,
+    scheme) or over the systems of one graph. A finish's ``time_s`` adds the
+    time of the warm sampling pass it shares with the other finishes
+    (``cached_sample``).
     """
     rows = []
     for name in graphs:
         g = suite.get(name, scale)
         truth = _truth(g)
-        for scheme in schemes:
-            if scheme == "bfs" and name == "RO" and scale != "test":
-                continue  # diameter-many dataflow rounds; Table 6 reports it
+        for scheme in SCHEMES:
             sample = cached_sample(spark, name, scheme, scale)
-            algos = list(UF_ALGOS) + [
-                a for a in MIN_ALGOS if scheme != "none" or name in minbased_nosample_graphs
-            ]
-            _, warm = _warm_passes(
-                {a: functools.partial(finish_with_sample, spark, g, sample, a) for a in algos}
-            )
-            for algo, runs in warm.items():
-                assert all(same_partition(out[0], truth) for _, out in runs), (name, scheme, algo)
-                dt, lo, hi = _spread([t for t, _ in runs])
-                _, (_, info) = runs[0]
+            finishes = {a: functools.partial(finish_with_sample, spark, g, sample, a) for a in UF_ALGOS + MIN_ALGOS}
+            for algo, (dt, lo, hi, _, info) in _cells(finishes, truth).items():
                 rows.append(
                     {"graph": name, "sampling": scheme, "algorithm": algo, "time_s": sample.time_s + dt,
                      "finish_time_s": dt, "finish_edges": info["finish_edges"], "rounds": info["rounds"],
+                     "parent_reads": info.get("counters", {}).get("parent_reads"),
                      "finish_time_s_min": lo, "finish_time_s_max": hi}
                 )
-        if include_systems and (systems_graphs is None or name in systems_graphs):
-            _, warm = _warm_passes({
-                "sys:BFSCC": lambda: bfscc(spark, g),
-                "sys:WorkeffCC": lambda: workeff_cc(spark, g),
-                "sys:MultiStep": lambda: multistep(spark, g),
-                "sys:GAP-SV": lambda: gap_sv(spark, g),
-                "sys:GAP-Afforest": lambda: gap_afforest(spark, g),
-                "sys:PatwaryRM": lambda: patwary_rm(spark, g),
-            })
-            for sysname, runs in warm.items():
-                assert all(same_partition(np.asarray(out[0]), truth) for _, out in runs), (name, sysname)
-                dt, lo, hi = _spread([t for t, _ in runs])
-                _, (_, info) = runs[0]
-                rows.append(
-                    {"graph": name, "sampling": "-", "algorithm": sysname, "time_s": dt,
-                     "finish_time_s": dt, "finish_edges": g.m_directed, "rounds": info.get("rounds"),
-                     "finish_time_s_min": lo, "finish_time_s_max": hi}
-                )
-    return pd.DataFrame(rows)
+        systems = {f"sys:{s}": functools.partial(fn, spark, g) for s, fn in SYSTEMS.items()}
+        for sysname, (dt, lo, hi, _, info) in _cells(systems, truth).items():
+            rows.append(
+                {"graph": name, "sampling": "-", "algorithm": sysname, "time_s": dt,
+                 "finish_time_s": dt, "finish_edges": g.m_directed, "rounds": info.get("rounds"),
+                 "parent_reads": None, "finish_time_s_min": lo, "finish_time_s_max": hi}
+            )
+    return pd.DataFrame(rows).astype({"parent_reads": "Int64"})
 
 
 # ---------------------------------------------------------------- Table 4 --

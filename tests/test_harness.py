@@ -6,18 +6,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.harness import paper_numbers as P
+from repro.core.sampling import SampleResult
 from repro.harness import tables as T
 from repro.graphs import suite
 from repro.graphs.ground_truth import cc_labels
-
-
-def test_paper_numbers_shapes():
-    assert len(P.TABLE1) == 11
-    assert set(P.TABLE2) == set(suite.GRAPH_NAMES)
-    assert set(P.TABLE4["UF-Rem-CAS"]) == set(suite.GRAPH_NAMES) | {"RM", "BA"}
-    assert len(P.TABLE5) == 7
-    assert set(P.TABLE7) == set(suite.GRAPH_NAMES)
 
 
 def test_table2(spark):
@@ -90,6 +82,24 @@ def test_jobs_common_puts_src_on_driver_path(tmp_path):
     assert out.stdout.strip() == str(root / "src" / "repro" / "__init__.py")
 
 
+def _fake_table3(monkeypatch, finish=None, systems=None):
+    """Table 3 with no Spark work: each graph's sample is a Spark-free
+    ``SampleResult`` whose ``time_s`` is 0.25, and every finish and system
+    returns the graph's components, unless ``finish`` or ``systems`` stands in."""
+    def sample(spark, name, scheme, scale):
+        return SampleResult(labels=np.arange(suite.get(name, scale).n), scheme=scheme, time_s=0.25)
+
+    def finish_with_sample(spark, g, sample, algo):
+        return cc_labels(g.n, g.src, g.dst), {"finish_edges": 5, "rounds": 3}
+
+    def system(spark, g):
+        return cc_labels(g.n, g.src, g.dst), {}
+
+    monkeypatch.setattr(T, "cached_sample", sample)
+    monkeypatch.setattr(T, "finish_with_sample", finish or finish_with_sample)
+    monkeypatch.setattr(T, "SYSTEMS", systems or {s: system for s in T.SYSTEMS})
+
+
 def test_table3_systems_are_warm(spark, monkeypatch):
     """A sys:* row is the median of PASSES timed calls after one untimed call,
     with their min-max; the untimed call's time shows nowhere."""
@@ -103,23 +113,26 @@ def test_table3_systems_are_warm(spark, monkeypatch):
         return labels, {"rounds": 7}
 
     monkeypatch.setattr(T, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
-    monkeypatch.setattr(T, "bfscc", counted)
-    for other in ("workeff_cc", "multistep", "gap_sv", "gap_afforest", "patwary_rm"):
-        monkeypatch.setattr(T, other, lambda spark, g: (labels, {}))
-    df = T.table3(spark, "test", graphs=("RO",), schemes=())
+    _fake_table3(monkeypatch, systems={"BFSCC": counted} | {
+        other: (lambda spark, g: (labels, {}))
+        for other in ("WorkeffCC", "MultiStep", "GAP-SV", "GAP-Afforest", "PatwaryRM")
+    })
+    df = T.table3(spark, "test", graphs=("RO",))
     assert next(costs, None) is None  # 1 + PASSES calls, no more
-    assert len(df) == 6 and (df.time_s == 0).sum() == 5
-    row = df.set_index("algorithm").loc["sys:BFSCC"]
+    sys_rows = df[df.sampling == "-"]
+    assert len(sys_rows) == 6 and (sys_rows.time_s == 0).sum() == 5
+    row = sys_rows.set_index("algorithm").loc["sys:BFSCC"]
     spread = (np.median(timed), min(timed), max(timed))
     assert row.time_s == row.finish_time_s
     assert (row.finish_time_s, row.finish_time_s_min, row.finish_time_s_max) == spread
     assert row.rounds == 7
+    assert sys_rows.parent_reads.isna().all()
 
 
 def test_table3_finishes_are_warm(spark, monkeypatch):
     """A finish cell is the median of PASSES timed ``finish_with_sample`` calls
     after one untimed call, with their min-max; ``time_s`` adds the shared
-    sample's time to that median."""
+    sample's time to that median. A union-find cell shows its parent reads."""
     g = suite.get("RO", "test")
     labels = cc_labels(g.n, g.src, g.dst)
     algos = T.UF_ALGOS + T.MIN_ALGOS
@@ -127,22 +140,38 @@ def test_table3_finishes_are_warm(spark, monkeypatch):
     costs, clock = {}, [0.0]
 
     def counted(spark, g, sample, algo):
-        cost = costs.setdefault(algo, iter([100.0] + [10 * algos.index(algo) + t for t in timed]))
+        start = 100 * T.SCHEMES.index(sample.scheme) + 10 * algos.index(algo)
+        cost = costs.setdefault((sample.scheme, algo), iter([1000.0] + [start + t for t in timed]))
         clock[0] += next(cost)
-        return labels, {"finish_edges": 5, "rounds": 3}
+        counters = {"counters": {"parent_reads": 11}} if algo in T.UF_ALGOS else {}
+        return labels, {"finish_edges": 5, "rounds": 3, **counters}
 
     monkeypatch.setattr(T, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
-    monkeypatch.setattr(T, "finish_with_sample", counted)
-    df = T.table3(spark, "test", graphs=("RO",), schemes=("kout",), include_systems=False)
-    sample = T.cached_sample(spark, "RO", "kout", "test")
-    assert list(df.algorithm) == list(algos) and set(costs) == set(algos)
+    _fake_table3(monkeypatch, finish=counted)
+    df = T.table3(spark, "test", graphs=("RO",))
+    df = df[df.sampling != "-"]
+    assert list(df.algorithm) == list(algos) * len(T.SCHEMES)
+    assert set(costs) == {(s, a) for s in T.SCHEMES for a in algos}
     assert all(next(c, None) is None for c in costs.values())  # 1 + PASSES calls each
     for row in df.itertuples():
-        own = [10 * algos.index(row.algorithm) + t for t in timed]
+        start = 100 * T.SCHEMES.index(row.sampling) + 10 * algos.index(row.algorithm)
+        own = [start + t for t in timed]
         spread = (np.median(own), min(own), max(own))
         assert (row.finish_time_s, row.finish_time_s_min, row.finish_time_s_max) == spread
-        assert row.time_s == sample.time_s + row.finish_time_s
+        assert row.time_s == 0.25 + row.finish_time_s
         assert (row.finish_edges, row.rounds) == (5, 3)
+        assert row.parent_reads == 11 if row.algorithm in T.UF_ALGOS else pd.isna(row.parent_reads)
+
+
+def test_table3_covers_every_cell(spark, monkeypatch):
+    """Every graph gets every sampling scheme × finish plus the six systems:
+    one row per (graph, scheme, algorithm), none skipped."""
+    _fake_table3(monkeypatch)
+    df = T.table3(spark, "test")
+    per_graph = len(T.SCHEMES) * len(T.UF_ALGOS + T.MIN_ALGOS) + len(T.SYSTEMS)
+    assert len(df) == len(suite.GRAPH_NAMES) * per_graph == 8 * (4 * 9 + 6)
+    assert not df.duplicated(["graph", "sampling", "algorithm"]).any()
+    assert set(df.graph) == set(suite.GRAPH_NAMES)
 
 
 def test_warm_passes_reports_cold_pass(monkeypatch):
@@ -184,8 +213,7 @@ def test_table1_first_s_is_the_cold_pass(spark, monkeypatch):
     get = suite.get
     monkeypatch.setattr(T.suite, "get", lambda name, scale: get(name, "test"))
     monkeypatch.setattr(T, "connectivity", fake(9.0, 1.0))
-    for i, other in enumerate(("bfscc", "workeff_cc", "multistep", "gap_sv", "gap_afforest")):
-        monkeypatch.setattr(T, other, fake(20.0 + i, 2.0 + i))
+    monkeypatch.setattr(T, "SYSTEMS", {s: fake(20.0 + i, 2.0 + i) for i, s in enumerate(T.SYSTEMS)})
     df = T.table1(spark, "mini").set_index(["graph", "system"])
     row = df.loc[("HL12", "ConnectIt (kout + UF-Rem-CAS)")]
     assert (row.time_s, row.first_s) == (1.0, 9.0)
