@@ -7,11 +7,15 @@ driver-resident analog of the paper's shared memory) and processes batches of
 Three algorithm types, as in the paper:
 
 - Type 1 — asynchronous union-find (all variants except Rem+SpliceAtomic):
-  updates and queries may interleave freely; linearizable.
+  in the paper, updates and queries may interleave freely; linearizable.
 - Type 2 — Shiloach-Vishkin and root-based Liu-Tarjan: batch-synchronous
   rounds over the batch's edges against the parents array.
 - Type 3 — Rem's algorithms with SpliceAtomic: phase-concurrent; the batch is
   split into an update phase followed by a query phase.
+
+Here every type applies all of a batch's updates and then answers all of its
+queries. For Type 1 that order is one valid linearization (B.4); for Type 3
+it is the required phase order.
 
 Like the paper's one parallel pass over a batch's updates and one over its
 queries, each batch is one kernel call per half: the variant's
@@ -67,10 +71,11 @@ class StreamingConnectIt:
     ) -> np.ndarray:
         """Apply one batch; returns boolean answers for the queries.
 
-        Type 1 interleaves updates and queries (any serialization is a valid
-        linearization w.r.t. the batch start, per B.4's correctness notion);
-        Types 2 and 3 apply all updates first, then answer queries. Every
-        type answers queries with ``connected``: two naive finds per query.
+        Every type applies all updates first, then answers all queries with
+        ``connected``: two naive finds per query. For Type 1, which may
+        interleave the two, this order is one valid linearization w.r.t. the
+        batch start (B.4's correctness notion); for Type 3 it is the required
+        phase order.
         """
         updates, queries = as_batches(self.n, updates, [] if queries is None else queries)
         if self.type == 2:

@@ -62,7 +62,6 @@ class Graph:
     n: int
     src: np.ndarray  # directed pairs; both (u,v) and (v,u) present
     dst: np.ndarray
-    meta: dict = field(default_factory=dict)
     # (session, DataFrame) of the last df() call; the edge arrays are never
     # mutated after construction, so the DataFrame stays valid
     _df: tuple[SparkSession, DataFrame] | None = field(default=None, init=False, repr=False, compare=False)
@@ -113,9 +112,9 @@ class Graph:
         return indptr.astype(np.int64), indices
 
 
-def from_pairs(name: str, n: int, src, dst, **meta) -> Graph:
+def from_pairs(name: str, n: int, src, dst) -> Graph:
     s, d = _dedupe_symmetrize(n, src, dst)
-    return Graph(name, n, s, d, dict(meta))
+    return Graph(name, n, s, d)
 
 
 def grid(rows: int, cols: int, name: str = "grid") -> Graph:
@@ -126,13 +125,12 @@ def grid(rows: int, cols: int, name: str = "grid") -> Graph:
     down = np.where(r + 1 < rows)[0]
     src = np.concatenate([right, down])
     dst = np.concatenate([right + 1, down + cols])
-    return from_pairs(name, n, src, dst, family="grid")
+    return from_pairs(name, n, src, dst)
 
 
 def rmat(n: int, m: int, a: float = 0.5, b: float = 0.1, c: float = 0.1, seed: int = 0, name: str = "rmat") -> Graph:
     """RMAT power-law generator; paper uses (a,b,c)=(0.5,0.1,0.1)."""
     levels = max(1, int(np.ceil(np.log2(max(2, n)))))
-    size = 1 << levels
     g = np.random.default_rng(seed)
     src = np.zeros(m, dtype=np.int64)
     dst = np.zeros(m, dtype=np.int64)
@@ -144,7 +142,7 @@ def rmat(n: int, m: int, a: float = 0.5, b: float = 0.1, c: float = 0.1, seed: i
     src, dst = src % n, dst % n
     # Tie every vertex into the id space lightly so n is meaningful even
     # when RMAT leaves high ids untouched; isolated vertices remain possible.
-    return from_pairs(name, n, src, dst, family="rmat", size=size)
+    return from_pairs(name, n, src, dst)
 
 
 def barabasi_albert(n: int, m_per: int, seed: int = 0, name: str = "ba") -> Graph:
@@ -166,26 +164,26 @@ def barabasi_albert(n: int, m_per: int, seed: int = 0, name: str = "ba") -> Grap
         dst_l.append(targets)
         pool = np.concatenate([pool, s, targets])
         v = hi
-    return from_pairs(name, n, np.concatenate(src_l), np.concatenate(dst_l), family="ba")
+    return from_pairs(name, n, np.concatenate(src_l), np.concatenate(dst_l))
 
 
 def path_graph(n: int, name: str = "path") -> Graph:
     ids = np.arange(n - 1)
-    return from_pairs(name, n, ids, ids + 1, family="path")
+    return from_pairs(name, n, ids, ids + 1)
 
 
 def star(n: int, name: str = "star") -> Graph:
-    return from_pairs(name, n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n), family="star")
+    return from_pairs(name, n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
 
 
 def cycle(n: int, name: str = "cycle") -> Graph:
     ids = np.arange(n)
-    return from_pairs(name, n, ids, (ids + 1) % n, family="cycle")
+    return from_pairs(name, n, ids, (ids + 1) % n)
 
 
 def complete(n: int, name: str = "complete") -> Graph:
     u, v = np.meshgrid(np.arange(n), np.arange(n))
-    return from_pairs(name, n, u.ravel(), v.ravel(), family="complete")
+    return from_pairs(name, n, u.ravel(), v.ravel())
 
 
 def web_like(
@@ -227,9 +225,7 @@ def web_like(
         srcs.append(ids[:-1])
         dsts.append(ids[1:])
         n += extra_comp_size
-    return from_pairs(
-        name, n, np.concatenate(srcs), np.concatenate(dsts), family="web", n_clusters=n_clusters
-    )
+    return from_pairs(name, n, np.concatenate(srcs), np.concatenate(dsts))
 
 
 def disjoint_union(name: str, graphs: list[Graph]) -> Graph:
@@ -239,4 +235,4 @@ def disjoint_union(name: str, graphs: list[Graph]) -> Graph:
         srcs.append(g.src + off)
         dsts.append(g.dst + off)
         off += g.n
-    return Graph(name, off, np.concatenate(srcs), np.concatenate(dsts), {"family": "union"})
+    return Graph(name, off, np.concatenate(srcs), np.concatenate(dsts))

@@ -48,7 +48,6 @@ def _ring_connected_rmat(name: str, n: int, m: int, *, a=0.5, b=0.1, c=0.1, seed
         n,
         np.concatenate([g.src[half], ids]),
         np.concatenate([g.dst[half], (ids + 1) % n]),
-        family="rmat",
     )
 
 
@@ -58,9 +57,7 @@ def _lj(s: int) -> Graph:
     g = _ring_connected_rmat("LJ", n, m, seed=11)
     extras = {0: 4, 1: 12, 2: 40}[s]
     comps = [g] + [gen.path_graph(5) for _ in range(extras)]
-    out = gen.disjoint_union("LJ", comps)
-    out.meta["family"] = "rmat"
-    return out
+    return gen.disjoint_union("LJ", comps)
 
 
 def _co(s: int) -> Graph:

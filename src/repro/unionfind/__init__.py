@@ -1,12 +1,14 @@
 """Simulated shared-memory concurrent union-find (paper §3.3.1, Appendix D).
 
 The paper's algorithms are written against a shared parents array with atomic
-compare-and-swap. This package reproduces them as deterministic executions of
-the *same code paths* over a parents array kept as a plain Python list for the
-life of a :class:`UFState`, with a modelled CAS and exact instrumentation
-(parent reads/writes, CAS attempts/failures, total/max path length). The
-unit of work of a union or a query is one batch: ``make_union`` builds
-``union(pairs)`` and ``finds.make_connected`` builds ``connected(pairs)``, each
+compare-and-swap. This package reproduces them as deterministic sequential
+executions over a parents array kept as a plain Python list for the life of a
+:class:`UFState`, with exact instrumentation (parent reads/writes, CAS
+attempts, total/max path length). Each CAS is counted as one attempt and,
+run sequentially, succeeds on it: no CAS failure or retry is simulated, and
+``cas_failures`` is reported as 0. The unit of work of a union or a query is
+one batch: ``make_union`` builds ``union(pairs)`` and
+``finds.make_connected`` builds ``connected(pairs)``, each
 one loop over its pairs that adds its counts up in local variables and adds
 them to the counters once per call; finds and splices stay per-element and
 count the same way. Numpy arrays appear only at the edges (``run_components``

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# counter slots: indices into the plain-list ``Counters.a``
-READS, WRITES, CAS_TRY, CAS_FAIL, FINDS, UNIONS, HOOKS, TPL, MPL = range(9)
+# counter slots: indices into the plain-list ``Counters.a``; slot 3,
+# ``cas_failures``, is never written (see ``Counters``)
+READS, WRITES, CAS_TRY, _, FINDS, UNIONS, HOOKS, TPL, MPL = range(9)
 N_COUNTERS = 9
 
 _COUNTER_NAMES = [
@@ -28,6 +29,9 @@ class Counters:
 
     TPL/MPL are exactly the paper's Total/Max Path Length; parent reads and
     writes proxy memory-controller traffic; CAS attempts proxy contention.
+    ``cas_failures`` is always 0: the kernel runs sequentially, so every CAS
+    succeeds on its first attempt and none is retried. ``as_dict`` keeps the
+    key so that every reader of the nine counters sees the same keys.
     """
 
     __slots__ = ("a",)

@@ -5,13 +5,14 @@ batched ``IsConnected`` query.
 parents list, so the hot loop pays only local-variable lookups. A find adds
 up its parent reads/writes, CAS attempts and path length in local variables
 and adds them to the counters once, when it returns (TPL/MPL
-instrumentation, §4.1.1). ``make_connected`` answers a whole batch of
-queries in one loop and counts once per batch, exactly as two naive finds
-per query would.
+instrumentation, §4.1.1). Run sequentially, a split or halve step's CAS
+always succeeds, so each step counts one attempt and one write.
+``make_connected`` answers a whole batch of queries in one loop and counts
+once per batch, exactly as two naive finds per query would.
 """
 from __future__ import annotations
 
-from repro.unionfind.core import CAS_FAIL, CAS_TRY, FINDS, MPL, READS, TPL, WRITES, UFState
+from repro.unionfind.core import CAS_TRY, FINDS, MPL, READS, TPL, WRITES, UFState
 
 
 def make_find(name: str, st: UFState):
@@ -59,22 +60,18 @@ def make_find(name: str, st: UFState):
         reads_per_step = 3 if halve else 2
 
         def find(u: int) -> int:
-            steps = writes = 0
+            steps = 0
             v = P[u]
             w = P[v]
             while v != w:
-                # CAS(&P[u], v, w) — sequentially always succeeds
-                if P[u] == v:
-                    P[u] = w
-                    writes += 1
+                P[u] = w  # CAS(&P[u], v, w): nothing wrote P[u] since it was read
                 u = P[u] if halve else v
                 v = P[u]
                 w = P[v]
                 steps += 1
             c[READS] += 2 + reads_per_step * steps
-            c[WRITES] += writes
+            c[WRITES] += steps
             c[CAS_TRY] += steps
-            c[CAS_FAIL] += steps - writes
             c[FINDS] += 1
             c[TPL] += steps
             if steps > c[MPL]:

@@ -6,10 +6,14 @@ component is its minimum vertex id (UF-JTB links by random priority instead
 and is canonicalized afterwards). ``union(pairs)`` applies one batch of pairs
 in order and returns the indices of the pairs that hooked; the hooked root is
 where the spanning-forest edge is recorded (Definition B.2 requirement 3).
+
+Run sequentially, every hook succeeds on its first attempt: a loop reads a
+root and links it with nothing written in between, so no loop retries and
+no CAS fails.
 """
 from __future__ import annotations
 
-from repro.unionfind.core import CAS_FAIL, CAS_TRY, HOOKS, READS, UNIONS, WRITES, UFSpec, UFState
+from repro.unionfind.core import CAS_TRY, HOOKS, READS, UNIONS, WRITES, UFSpec, UFState
 from repro.unionfind.finds import make_find
 from repro.unionfind.splices import make_splice
 
@@ -41,90 +45,66 @@ def make_union(spec: UFSpec, st: UFState):
     callers pass ``zip(us, vs)`` over two flat int lists: a list per pair is
     one garbage-collector-tracked object per pair, and a batch of those sets
     off CPython's cyclic collector. A call is one batch: its parent
-    reads/writes, CAS attempts/failures, hooks and unions (the pairs the
-    loop consumed) add up in local variables and go into the counters once,
-    when it returns. The finds and splices it calls stay per-element and count
+    reads/writes, CAS attempts, hooks and unions (the pairs the loop
+    consumed) add up in local variables and go into the counters once, when
+    it returns. The finds and splices it calls stay per-element and count
     themselves. The hooked pairs are the spanning-forest edges, one per
     hooked root; ``union`` stores none of them (``run_components`` sets
     ``st.forest`` to its edges at ``hooked``).
     """
-    c, P = st.c.a, st.parent
+    c, P, variant = st.c.a, st.parent, spec.variant
 
-    def _count(k, hooked, reads, writes, tries, fails) -> list[int]:
+    def _count(k, hooked, reads, writes, tries) -> list[int]:
         c[READS] += reads
         c[WRITES] += writes
         c[CAS_TRY] += tries
-        c[CAS_FAIL] += fails
         c[HOOKS] += len(hooked)
         c[UNIONS] += k
         return hooked
 
-    if spec.variant == "uf-async":
+    if variant in ("uf-async", "uf-hooks", "uf-jtb"):
+        if variant == "uf-jtb" and spec.find not in ("naive", "two-try"):
+            raise ValueError("UF-JTB supports FindSimple (naive) or FindTwoTrySplit (two-try)")
         find = make_find(spec.find, st)
+        # UF-JTB (Jayanti–Tarjan–Boix-Adserà) links the root of lower random
+        # priority under the other; UF-Hooks CASes the root's slot of the
+        # auxiliary hooks array, then writes its parent uncontended (paper
+        # Algorithm 11).
+        prio = st.ensure_prio() if variant == "uf-jtb" else None
+        H = st.ensure_hooks() if variant == "uf-hooks" else None
+        writes_per_hook = 1 if H is None else 2
 
         def union(pairs) -> list[int]:
             hooked = []
-            reads = tries = fails = 0
             i = -1
             for i, (u, v) in enumerate(pairs):
-                while True:
-                    pu, pv = find(u), find(v)
-                    if pu == pv:
-                        break
-                    if pu < pv:
-                        pu, pv = pv, pu
-                    reads += 1
-                    if P[pu] == pu:
-                        tries += 1
-                        if P[pu] == pu:  # CAS(&P[pu], pu, pv)
-                            P[pu] = pv
-                            hooked.append(i)
-                            break
-                        fails += 1
-            return _count(i + 1, hooked, reads, tries - fails, tries, fails)
+                pu, pv = find(u), find(v)
+                if pu == pv:
+                    continue
+                if (pu < pv) if prio is None else (prio[pu] > prio[pv]):
+                    pu, pv = pv, pu
+                if H is not None:
+                    H[pu] = pv
+                P[pu] = pv  # CAS(&P[pu], pu, pv)
+                hooked.append(i)
+            h = len(hooked)
+            return _count(i + 1, hooked, h, writes_per_hook * h, h)
 
         return union
 
-    if spec.variant == "uf-hooks":
-        find = make_find(spec.find, st)
-        H = st.ensure_hooks()
+    if variant not in ("uf-early", "uf-rem-cas", "uf-rem-lock"):
+        raise KeyError(f"unknown union-find variant {variant!r}; options: {VARIANTS}")
+    compress = None if spec.find == "naive" else make_find(spec.find, st)
+
+    if variant == "uf-early":
 
         def union(pairs) -> list[int]:
+            # Walk up from both endpoints, eagerly hooking whichever current
+            # vertex is a root (paper Algorithm 12, adapted: the published
+            # pseudocode is abbreviated; this preserves its root-based
+            # min-hooking semantics).
             hooked = []
-            reads = tries = 0
-            i = -1
-            for i, (u, v) in enumerate(pairs):
-                while True:
-                    pu, pv = find(u), find(v)
-                    if pu == pv:
-                        break
-                    if pu < pv:
-                        pu, pv = pv, pu
-                    reads += 1
-                    # CAS on the auxiliary hooks array; the parents write is
-                    # then uncontended (paper Algorithm 11).
-                    tries += 1
-                    if P[pu] == pu and H[pu] == -1:
-                        H[pu] = pv
-                        P[pu] = pv
-                        hooked.append(i)
-                        break
-            hooks = len(hooked)
-            return _count(i + 1, hooked, reads, 2 * hooks, tries, tries - hooks)
-
-        return union
-
-    if spec.variant == "uf-early":
-        find = make_find(spec.find, st)
-        do_compress = spec.find != "naive"
-
-        def union(pairs) -> list[int]:
-            # Walk up from both endpoints, eagerly trying to hook whichever
-            # current vertex is a root (paper Algorithm 12, adapted: the
-            # published pseudocode is abbreviated; this preserves its
-            # root-based min-hooking semantics).
-            hooked = []
-            reads = tries = fails = 0
+            reads = 0
             i = -1
             for i, (u, v) in enumerate(pairs):
                 ru, rv = u, v
@@ -133,96 +113,46 @@ def make_union(spec: UFSpec, st: UFState):
                         ru, rv = rv, ru
                     reads += 1
                     pu = P[ru]
-                    if pu == ru:
-                        tries += 1
-                        if P[ru] == ru:  # CAS(&P[ru], ru, rv)
-                            P[ru] = rv
-                            hooked.append(i)
-                            break
-                        fails += 1
-                    else:
-                        ru = pu
-                if do_compress:
-                    find(u)
-                    find(v)
-            return _count(i + 1, hooked, reads, tries - fails, tries, fails)
-
-        return union
-
-    if spec.variant in ("uf-rem-cas", "uf-rem-lock"):
-        splice = make_splice(spec.splice, st)
-        compress = None if spec.find == "naive" else make_find(spec.find, st)
-        lock_based = spec.variant == "uf-rem-lock"
-
-        def union(pairs) -> list[int]:
-            hooked = []
-            reads = writes = tries = fails = 0
-            i = -1
-            for i, (u, v) in enumerate(pairs):
-                ru, rv = u, v
-                while True:
-                    reads += 2
-                    pu, pv = P[ru], P[rv]
-                    if pu == pv:
+                    if pu == ru:  # CAS(&P[ru], ru, rv)
+                        P[ru] = rv
+                        hooked.append(i)
                         break
-                    if pu < pv:
-                        ru, rv, pu, pv = rv, ru, pv, pu
-                    if ru == pu:  # ru is a root with larger value: hook it
-                        if lock_based:
-                            # acquire L[ru]; re-check under the lock, plain write
-                            reads += 2
-                            pv2 = P[rv]
-                            if P[ru] == ru and ru > pv2:
-                                P[ru] = pv2
-                                writes += 1
-                                hooked.append(i)
-                                break
-                        else:
-                            tries += 1
-                            if P[ru] == ru:  # CAS(&P[ru], ru, pv)
-                                P[ru] = pv
-                                writes += 1
-                                hooked.append(i)
-                                break
-                            fails += 1
-                    else:
-                        ru = splice(ru, rv)
+                    ru = pu
                 if compress is not None:
                     compress(u)
                     compress(v)
-            return _count(i + 1, hooked, reads, writes, tries, fails)
+            h = len(hooked)
+            return _count(i + 1, hooked, reads, h, h)
 
         return union
 
-    if spec.variant == "uf-jtb":
-        if spec.find not in ("naive", "two-try"):
-            raise ValueError("UF-JTB supports FindSimple (naive) or FindTwoTrySplit (two-try)")
-        find = make_find(spec.find, st)
-        prio = st.ensure_prio()
+    splice = make_splice(spec.splice, st)
+    # A hook is one CAS for UF-Rem-CAS; UF-Rem-Lock instead takes the root's
+    # lock and re-reads both parents under it before a plain write.
+    reads_per_hook, tries_per_hook = (2, 0) if variant == "uf-rem-lock" else (0, 1)
 
-        def union(pairs) -> list[int]:
-            # Randomized linking (Jayanti–Tarjan–Boix-Adserà): the root with
-            # lower random priority is linked under the higher-priority root.
-            hooked = []
-            reads = tries = fails = 0
-            i = -1
-            for i, (u, v) in enumerate(pairs):
-                while True:
-                    pu, pv = find(u), find(v)
-                    if pu == pv:
-                        break
-                    if prio[pu] > prio[pv]:
-                        pu, pv = pv, pu
-                    reads += 1
-                    if P[pu] == pu:
-                        tries += 1
-                        if P[pu] == pu:  # CAS(&P[pu], pu, pv)
-                            P[pu] = pv
-                            hooked.append(i)
-                            break
-                        fails += 1
-            return _count(i + 1, hooked, reads, tries - fails, tries, fails)
+    def union(pairs) -> list[int]:
+        hooked = []
+        reads = 0
+        i = -1
+        for i, (u, v) in enumerate(pairs):
+            ru, rv = u, v
+            while True:
+                reads += 2
+                pu, pv = P[ru], P[rv]
+                if pu == pv:
+                    break
+                if pu < pv:
+                    ru, rv, pu, pv = rv, ru, pv, pu
+                if ru == pu:  # ru is a root with larger value: hook it
+                    P[ru] = pv
+                    hooked.append(i)
+                    break
+                ru = splice(ru, rv)
+            if compress is not None:
+                compress(u)
+                compress(v)
+        h = len(hooked)
+        return _count(i + 1, hooked, reads + reads_per_hook * h, h, tries_per_hook * h)
 
-        return union
-
-    raise KeyError(f"unknown union-find variant {spec.variant!r}; options: {VARIANTS}")
+    return union

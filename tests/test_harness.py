@@ -197,14 +197,16 @@ def test_warm_passes_reports_cold_pass(monkeypatch):
 
 def test_table1_first_s_is_the_cold_pass(spark, monkeypatch):
     """Table 1 prints each system's cold pass as ``first_s``, beside the
-    median of its warm passes."""
+    median of its warm passes, and divides every time by the faster
+    ConnectIt configuration's."""
     clock = [0.0]
 
     def fake(cost_first, cost_warm):
-        costs = {}
+        calls = {}
 
-        def run(spark, g, *args, **kwargs):
-            n = costs[g.name] = costs.get(g.name, 0) + 1
+        def run(spark, g, *config):
+            key = (g.name, *config)  # two ConnectIt configurations share a graph
+            n = calls[key] = calls.get(key, 0) + 1
             clock[0] += cost_first if n == 1 else cost_warm
             return cc_labels(g.n, g.src, g.dst), {}
         return run
@@ -212,10 +214,18 @@ def test_table1_first_s_is_the_cold_pass(spark, monkeypatch):
     monkeypatch.setattr(T, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
     get = suite.get
     monkeypatch.setattr(T.suite, "get", lambda name, scale: get(name, "test"))
-    monkeypatch.setattr(T, "connectivity", fake(9.0, 1.0))
+    connectit = {"kout": fake(9.0, 1.0), "none": fake(5.0, 0.5)}
+    monkeypatch.setattr(T, "connectivity", lambda spark, g, scheme, *a: connectit[scheme](spark, g, scheme, *a))
     monkeypatch.setattr(T, "SYSTEMS", {s: fake(20.0 + i, 2.0 + i) for i, s in enumerate(T.SYSTEMS)})
     df = T.table1(spark, "mini").set_index(["graph", "system"])
     row = df.loc[("HL12", "ConnectIt (kout + UF-Rem-CAS)")]
     assert (row.time_s, row.first_s) == (1.0, 9.0)
+    row = df.loc[("HL12", "ConnectIt (none + UF-Rem-CAS)")]
+    assert (row.time_s, row.first_s) == (0.5, 5.0)
     assert df.loc[("HL14", "GAP-Afforest")].first_s == 24.0
+    # the speedup is over the faster ConnectIt row, none + UF-Rem-CAS here
+    speedup = df.speedup_vs_connectit
+    assert speedup[("HL12", "ConnectIt (kout + UF-Rem-CAS)")] == 2.0
+    assert speedup[("HL12", "ConnectIt (none + UF-Rem-CAS)")] == 1.0
+    assert speedup[("HL14", "GAP-Afforest")] == 12.0
     assert list(df.columns[:4]) == ["time_s", "time_s_min", "time_s_max", "first_s"]

@@ -64,3 +64,13 @@ def test_edge_symmetry_via_oracle(spark):
         "SELECT COUNT(*) AS cnt FROM e",
         e=g.pandas(),
     )
+    # every (u, v) row has its (v, u): no row survives an anti-join on the reverse
+    reverse = edges.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
+    unpaired = edges.join(reverse, ["src", "dst"], "left_anti").selectExpr("count(*) as cnt")
+    assert_equivalent(
+        unpaired,
+        "SELECT COUNT(*) AS cnt FROM e a WHERE NOT EXISTS "
+        "(SELECT 1 FROM e b WHERE b.src = a.dst AND b.dst = a.src)",
+        e=g.pandas(),
+    )
+    assert unpaired.first().cnt == 0
