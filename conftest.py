@@ -59,8 +59,8 @@ def spark() -> SparkSession:
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
     Broadcast joins are disabled, and no query asks for one: every edge
-    table is one partition, so an edgeMap hash-joins its driver-held
-    frontier with no exchange.
+    table is one partition, so an edgeMap filters the edges by its
+    frontier's mask (or, keyed, hash-joins the frontier) with no exchange.
     """
     s = (
         SparkSession.builder.appName("repro")

@@ -1,12 +1,13 @@
 """Breadth-first search as a driver-held frontier over a Spark edgeMap.
 
-Each round maps the frontier over the edge table (``_edge_map``: a join of the
-frontier with the edges and a min-aggregation, the dataflow analog of Ligra's
-edgeMap) and keeps the vertices not reached before, each with its minimum
-frontier neighbour as BFS parent. The vertex subset and the tree live on the
-driver as numpy arrays. Direction-optimization (the paper's dense iterations)
-has no cost asymmetry in dataflow: both sparse and dense traversal are the
-same join, so the optimization is a no-op here; we note this in DESIGN.md.
+Each round maps the frontier over the edge table (``_edge_map``: the frontier
+sent as a dense vertex mask inside the query, a filter of the edges on it and
+a min-aggregation, the dataflow analog of Ligra's edgeMap) and keeps the
+vertices not reached before, each with its minimum frontier neighbour as BFS
+parent. The vertex subset and the tree live on the driver as numpy arrays.
+Direction-optimization (the paper's dense iterations) has no cost asymmetry
+in dataflow: every round scans all m edges whatever the frontier's size, so
+the optimization is a no-op here.
 """
 from __future__ import annotations
 

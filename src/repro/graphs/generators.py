@@ -45,10 +45,10 @@ def edge_frame(spark: SparkSession, src: np.ndarray, dst: np.ndarray) -> DataFra
     rows once in the executors (eagerly) and leaves a plan that only points at
     them. The schema is explicit, so an edgeless table needs no rows to infer
     it from. The table is one partition, in row order: a plan over it needs no
-    exchange, which lets the edgeMap hash-join its frontier in one Spark job
-    and k-out re-run a prepared query. Parallel tasks would crowd out the JVM's
-    compiler and GC threads, which makes a query's time depend on how far the
-    JVM has warmed up.
+    exchange, which makes every edgeMap round one Spark job (a mask filter or
+    a hash join of the frontier) and lets k-out re-run a prepared query.
+    Parallel tasks would crowd out the JVM's compiler and GC threads, which
+    makes a query's time depend on how far the JVM has warmed up.
     """
     pdf = pd.DataFrame({"src": src, "dst": dst})
     return spark.createDataFrame(pdf, "src long, dst long").coalesce(1).localCheckpoint()

@@ -1,6 +1,7 @@
 """Dataflow kernels: BFS and LDD against the numpy ground truth."""
 import numpy as np
 import pytest
+from pyspark.sql import SparkSession
 
 from repro.dataflow import ldd
 from repro.dataflow.bfs import bfs_tree
@@ -83,6 +84,28 @@ def test_edge_map_packs_key_and_src(spark):
     assert (k[got[1]], s[got[1]]) == (1, 3) and (k[got[3]], s[got[3]]) == (4, 4)
 
 
+def test_edge_map_mask_rejects_bad_src(spark):
+    """Unkeyed, the frontier is a byte mask read at src + 1, and Spark reads a
+    byte for a position <= 0 too (-1 is the last): the edge (-2, 1) would
+    reach vertex 1 from a frontier of n - 1 with parent -2. It raises instead."""
+    e = edge_frame(spark, np.array([-2, 1, 1, 2]), np.array([1, -2, 2, 1]))
+    with pytest.raises(ValueError, match="endpoint -2 outside"):
+        _edge_map(spark, e, 3, np.array([2]))
+
+
+def test_bfs_round_builds_no_frontier_frame(spark, monkeypatch):
+    """A BFS round sends its frontier inside the query: no DataFrame is built."""
+    g = gen.grid(4, 5)
+    e = g.df(spark)
+
+    def refuse(*a, **k):
+        raise AssertionError("a BFS round built a DataFrame")
+
+    monkeypatch.setattr(SparkSession, "createDataFrame", refuse)
+    parent, rounds = bfs_tree(spark, e, g.n, 0)
+    assert (parent >= 0).all() and rounds == 7
+
+
 @pytest.mark.parametrize("bad", [-1, 5])
 def test_edge_map_rejects_bad_key(spark, bad):
     e = edge_frame(spark, np.array([0, 1]), np.array([1, 0]))
@@ -129,23 +152,34 @@ def test_edge_map_rejects_bad_frontier(spark, bad):
 
 
 def test_edge_map_arrays_duplicate_frontier(spark):
-    """A vertex listed twice counts with its smaller key, as in the DataFrame path."""
+    """A vertex listed twice counts with its smaller key, as in the DataFrame
+    path; unkeyed, the DataFrame's mask and the arrays agree too."""
     src, dst = np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1])
     frontier, key = np.array([1, 2, 1, 2]), np.array([0, 1, 3, 2])
-    want = _edge_map(spark, edge_frame(spark, src, dst), 4, frontier, key)
+    e = edge_frame(spark, src, dst)
+    want = _edge_map(spark, e, 4, frontier, key)
     d, k, s = _edge_map(spark, (src, dst), 4, frontier, key)
     assert d.tolist() == [0, 1, 2] and k.tolist() == [0, 1, 0] and s.tolist() == [1, 2, 1]
     got = np.argsort(want[0])
     assert all(np.array_equal(a, b[got]) for a, b in zip((d, k, s), want))
+    want = _edge_map(spark, e, 4, frontier)
+    d, k, s = _edge_map(spark, (src, dst), 4, frontier)
+    assert d.tolist() == [0, 1, 2] and k is None and s.tolist() == [1, 2, 1]
+    got = np.argsort(want[0])
+    assert np.array_equal(d, want[0][got]) and np.array_equal(s, want[2][got]) and want[1] is None
 
 
 def test_edge_map_arrays_empty_frontier(spark, spark_jobs):
-    """An empty frontier reaches nothing, and the array path starts no Spark job."""
+    """An empty frontier reaches nothing, and the array path starts no Spark
+    job; the DataFrame's all-zero mask reaches nothing either."""
+    edges, none = (np.array([0, 1]), np.array([1, 0])), np.empty(0, dtype=np.int64)
     j0 = spark_jobs()
-    for key in (None, np.empty(0, dtype=np.int64)):
-        d, k, s = _edge_map(spark, (np.array([0, 1]), np.array([1, 0])), 2, np.empty(0, dtype=np.int64), key)
+    for key in (None, none):
+        d, k, s = _edge_map(spark, edges, 2, none, key)
         assert len(d) == len(s) == 0 and (k is None) == (key is None)
     assert spark_jobs() == j0
+    d, k, s = _edge_map(spark, edge_frame(spark, *edges), 2, none)
+    assert len(d) == len(s) == 0 and k is None
 
 
 def test_ldd_covers_and_is_partial_labeling(spark, grid, grid_edges):
@@ -200,8 +234,9 @@ def test_ldd_jobs_per_round(spark, spark_jobs, count_edge_maps, grid, grid_edges
 
 @pytest.mark.parametrize("keyed", [False, True])
 def test_edge_map_one_partition_is_one_job(spark, spark_jobs, keyed):
-    """The edge table is one partition and the frontier is hash-joined with
-    no exchange: the edgeMap is one Spark job, the collect."""
+    """The edge table is one partition, and the frontier is a mask filter
+    (unkeyed) or hash-joined (keyed) with no exchange: the edgeMap is one
+    Spark job, the collect."""
     g = gen.grid(4, 5)
     e = edge_frame(spark, g.src, g.dst)
     assert e.rdd.getNumPartitions() == 1
@@ -226,8 +261,8 @@ def test_bfs_one_job_per_round(spark, spark_jobs):
 
 @pytest.mark.parametrize("keyed", [False, True])
 def test_edge_map_substrates_match(spark, keyed):
-    """The one-partition edge table's hash join returns the driver arrays'
-    (dst, key, src), with a frontier vertex listed twice and key = src = n - 1."""
+    """The one-partition edge table's mask filter or hash join returns the driver
+    arrays' (dst, key, src), with a frontier vertex listed twice and key = src = n - 1."""
     g = gen.grid(4, 5)
     n = g.n
     frontier = np.array([n - 1, 3, 7, 3, 12, n - 1])
