@@ -2,9 +2,11 @@
 
 Each ``tableN(spark, scale)`` runs the experiment on the stand-in suite and
 returns a pandas DataFrame with the measured rows; ``to_markdown`` writes it
-under results/. Sampling passes are cached per (graph, scheme, scale) so the
-Table 3 sweep shares one sampling run across all finish methods, like the
-paper's framework does.
+under results/. Every timed cell of Tables 1 and 3–8 comes from one runner,
+``_cells``: a cold pass, then ``PASSES`` warm passes in rotating order, each
+pass's output checked. Sampling cells are cached per (graph, scheme, scale)
+so Tables 3, 6 and 7 share one sampling run, and Table 3's finishes share it
+as the paper's framework does.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import functools
 import time
 from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -25,7 +28,6 @@ from repro.baselines.primitives import gather_edges, map_edges
 from repro.baselines.stinger_like import StingerLike
 from repro.baselines.workeff import workeff_cc
 from repro.core.framework import connectivity, finish_with_sample, run_sampling
-from repro.core.sampling import SampleResult
 from repro.core.streaming import StreamingConnectIt
 from repro.graphs import suite
 from repro.graphs.ground_truth import canonicalize, cc_labels, same_partition
@@ -34,23 +36,69 @@ from repro.unionfind import UFSpec
 
 RESULTS_DIR = Path(__file__).resolve().parents[3] / "results"
 
-_SAMPLE_CACHE: dict[tuple, SampleResult] = {}
+PASSES = 3  # warm passes per cell
 
 
-def cached_sample(spark: SparkSession, name: str, scheme: str, scale: str) -> SampleResult:
-    """One sampling pass per (graph, scheme, scale), shared across finishes.
+class Cell(NamedTuple):
+    """One system's passes in a table cell, as ``_cells`` ran them."""
 
-    The sample is of a warm pass, and so is its ``time_s``. The graph's edge
-    table is built first, and one untimed pass warms up the JVM (on the
-    first graph) and the query's code paths; sampling is seeded, so the warm
-    pass returns the same sample.
+    first_s: float  # the cold pass: its seconds and output
+    first: object
+    times: tuple[float, ...]  # the PASSES warm passes, in pass order
+    outs: tuple
+
+    @property
+    def spread(self) -> tuple[float, float, float]:
+        """Median, min and max of the warm passes' seconds."""
+        return float(np.median(self.times)), min(self.times), max(self.times)
+
+
+def _cells(
+    systems: dict[str, Callable[[], object]], check: Callable[[str, object], bool]
+) -> dict[str, Cell]:
+    """Time every system's passes and check every pass's output.
+
+    Every system runs once first, in the given order: the cold pass, which
+    pays for what a first call builds (on the first system, the JVM's
+    warm-up too) and is left out of the warm cell. The ``PASSES`` warm passes
+    then rotate the system order, so no system always runs first. A pass
+    whose output fails ``check(system, output)`` raises ``AssertionError``.
+    """
+    names = list(systems)
+    runs: dict[str, list[tuple[float, object]]] = {s: [] for s in names}
+    for p in range(1 + PASSES):
+        k = max(p - 1, 0)  # pass 0 is the cold pass; warm pass p rotates by p - 1
+        for s in names[k:] + names[:k]:
+            t0 = time.perf_counter()
+            out = systems[s]()
+            dt = time.perf_counter() - t0
+            if not check(s, out):
+                raise AssertionError(f"{s}: pass {p} failed its check")
+            runs[s].append((dt, out))
+    return {s: Cell(*r[0], *zip(*r[1:])) for s, r in runs.items()}
+
+
+_SAMPLE_CACHE: dict[tuple, Cell] = {}
+
+
+def cached_sample(spark: SparkSession, name: str, scheme: str, scale: str) -> Cell:
+    """The ``run_sampling`` cell of one (graph, scheme, scale), shared by
+    Tables 3, 6 and 7.
+
+    The graph's edge table is built first, so no pass pays for it. Every
+    pass's sample must refine the true components. Sampling is seeded, so
+    every pass returns the same sample; its readers take the first warm
+    pass's (``outs[0]``).
     """
     key = (name, scheme, scale)
     if key not in _SAMPLE_CACHE:
         g = suite.get(name, scale)
         g.df(spark)
-        run_sampling(spark, g, scheme)
-        _SAMPLE_CACHE[key] = run_sampling(spark, g, scheme)
+        truth = _truth(g)
+        _SAMPLE_CACHE[key] = _cells(
+            {scheme: functools.partial(run_sampling, spark, g, scheme)},
+            lambda _, sample: np.array_equal(truth[sample.labels], truth),
+        )[scheme]
     return _SAMPLE_CACHE[key]
 
 
@@ -81,58 +129,11 @@ def to_markdown(df: pd.DataFrame, name: str) -> Path:
 
 
 # ---------------------------------------------------------------- Table 1 --
-PASSES = 3  # timed passes per warm cell (Tables 1, 3, 4, 5, 8)
-
 # The other systems of Tables 1 and 3, each called as ``fn(spark, g)``.
 SYSTEMS = {
     "BFSCC": bfscc, "WorkeffCC": workeff_cc, "MultiStep": multistep,
     "GAP-SV": gap_sv, "GAP-Afforest": gap_afforest, "PatwaryRM": patwary_rm,
 }
-
-
-def _spread(times: list[float]) -> tuple[float, float, float]:
-    """Median, min and max of one cell's pass times."""
-    return float(np.median(times)), min(times), max(times)
-
-
-def _warm_passes(
-    systems: dict[str, Callable[[], object]],
-) -> tuple[dict[str, tuple[float, object]], dict[str, list[tuple[float, object]]]]:
-    """Each system's cold pass and its ``PASSES`` warm passes, as (seconds, output) pairs.
-
-    Every system runs once first, in the given order: the cold pass, which
-    pays for what a first call builds (on the first system, the JVM's
-    warm-up too) and is left out of the warm cells. The warm passes then
-    rotate the system order, so no system always runs first.
-    """
-    names = list(systems)
-    cold = {}
-    for s, fn in systems.items():
-        t0 = time.perf_counter()
-        out = fn()
-        cold[s] = (time.perf_counter() - t0, out)
-    runs: dict[str, list[tuple[float, object]]] = {s: [] for s in names}
-    for p in range(PASSES):
-        for s in names[p:] + names[:p]:
-            t0 = time.perf_counter()
-            out = systems[s]()
-            runs[s].append((time.perf_counter() - t0, out))
-    return cold, runs
-
-
-def _cells(
-    systems: dict[str, Callable[[], tuple[np.ndarray, dict]]], truth: np.ndarray
-) -> dict[str, tuple[float, float, float, float, dict]]:
-    """Each system's warm cell: (median, min, max, cold pass seconds, info).
-
-    Every warm pass's labels are checked against ``truth``; ``info`` is the
-    first warm pass's."""
-    cold, warm = _warm_passes(systems)
-    cells = {}
-    for s, runs in warm.items():
-        assert all(same_partition(np.asarray(out[0]), truth) for _, out in runs), s
-        cells[s] = (*_spread([t for t, _ in runs]), cold[s][0], runs[0][1][1])
-    return cells
 
 
 def table1(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
@@ -149,12 +150,14 @@ def table1(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
     for name in ("HL14", "HL12"):
         g = suite.get(name, scale)
         g.df(spark)
+        truth = _truth(g)
         systems = {f"ConnectIt ({scheme} + UF-Rem-CAS)": functools.partial(connectivity, spark, g, scheme, "uf-rem-cas")
                    for scheme in ("kout", "none")}
         systems.update({s: functools.partial(fn, spark, g) for s, fn in SYSTEMS.items()})
-        for s, (dt, lo, hi, first, _) in _cells(systems, _truth(g)).items():
+        for s, cell in _cells(systems, lambda _, out: same_partition(out[0], truth)).items():
+            dt, lo, hi = cell.spread
             rows.append({"graph": name, "system": s, "time_s": dt, "time_s_min": lo,
-                         "time_s_max": hi, "first_s": first, "n": g.n, "m": g.m})
+                         "time_s_max": hi, "first_s": cell.first_s, "n": g.n, "m": g.m})
     df = pd.DataFrame(rows)
     best = df[df.system.str.startswith("ConnectIt")].groupby("graph").time_s.min()
     df["speedup_vs_connectit"] = df.time_s / df.graph.map(best)
@@ -183,34 +186,38 @@ def table3(
     checked against both. Every cell is warm (``_cells``): ``finish_time_s``
     is the median pass with its min–max, over the finishes of one (graph,
     scheme) or over the systems of one graph. A finish's ``time_s`` adds the
-    time of the warm sampling pass it shares with the other finishes
-    (``cached_sample``).
+    median time of the sampling cell it shares with the other finishes
+    (``cached_sample``), whose sample every finish starts from.
     """
     rows = []
     for name in graphs:
         g = suite.get(name, scale)
         truth = _truth(g)
         for scheme in SCHEMES:
-            sample = cached_sample(spark, name, scheme, scale)
-            finishes = {a: functools.partial(finish_with_sample, spark, g, sample, a) for a in UF_ALGOS + MIN_ALGOS}
-            for algo, (dt, lo, hi, _, info) in _cells(finishes, truth).items():
+            sampled = cached_sample(spark, name, scheme, scale)
+            finishes = {a: functools.partial(finish_with_sample, spark, g, sampled.outs[0], a)
+                        for a in UF_ALGOS + MIN_ALGOS}
+            for algo, cell in _cells(finishes, lambda _, out: same_partition(out[0], truth)).items():
+                dt, lo, hi = cell.spread
+                info = cell.outs[0][1]
                 rows.append(
-                    {"graph": name, "sampling": scheme, "algorithm": algo, "time_s": sample.time_s + dt,
+                    {"graph": name, "sampling": scheme, "algorithm": algo, "time_s": sampled.spread[0] + dt,
                      "finish_time_s": dt, "finish_edges": info["finish_edges"], "rounds": info["rounds"],
                      "parent_reads": info.get("counters", {}).get("parent_reads"),
                      "finish_time_s_min": lo, "finish_time_s_max": hi}
                 )
         systems = {f"sys:{s}": functools.partial(fn, spark, g) for s, fn in SYSTEMS.items()}
-        for sysname, (dt, lo, hi, _, info) in _cells(systems, truth).items():
+        for sysname, cell in _cells(systems, lambda _, out: same_partition(out[0], truth)).items():
+            dt, lo, hi = cell.spread
             rows.append(
                 {"graph": name, "sampling": "-", "algorithm": sysname, "time_s": dt,
-                 "finish_time_s": dt, "finish_edges": g.m_directed, "rounds": info.get("rounds"),
+                 "finish_time_s": dt, "finish_edges": g.m_directed, "rounds": cell.outs[0][1].get("rounds"),
                  "parent_reads": None, "finish_time_s_min": lo, "finish_time_s_max": hi}
             )
     return pd.DataFrame(rows).astype({"parent_reads": "Int64"})
 
 
-# ---------------------------------------------------------------- Table 4 --
+# ------------------------------------------------------------- Tables 4/5 --
 STREAM_ALGOS = {
     "UF-Early": UFSpec("uf-early", "naive"),
     "UF-Hooks": UFSpec("uf-hooks", "naive"),
@@ -223,28 +230,33 @@ STREAM_ALGOS = {
 }
 
 
+def _fed(system, batches: list[np.ndarray]):
+    """``system`` after it has processed every batch, in order."""
+    for b in batches:
+        system.process_batch(b)
+    return system
+
+
 def table4(
     spark: SparkSession, scale: str = "mini", graphs: tuple[str, ...] | None = None
 ) -> pd.DataFrame:
     """Maximum streaming throughput: the whole graph as one COO batch, with
-    the parent reads per update as its deterministic work count. Each cell is
-    the median of ``PASSES`` fresh passes, with their min–max rates."""
+    the parent reads per update as its deterministic work count. Each pass
+    builds a fresh ``StreamingConnectIt`` and feeds it the batch; a cell is
+    the median warm pass (``_cells``), with the min–max rates."""
     names = graphs or tuple(suite.GRAPH_NAMES) + ("RM", "BA")
     rows = []
     for name in names:
         g = suite.streaming_graph(name, scale) if name in ("RM", "BA") else suite.get(name, scale)
         edges = np.stack([g.src, g.dst], axis=1)
         truth = _truth(g)
-        for algname, alg in STREAM_ALGOS.items():
-            times = []
-            for _ in range(PASSES):
-                s = StreamingConnectIt(g.n, alg)
-                t0 = time.perf_counter()
-                s.process_batch(edges)
-                times.append(time.perf_counter() - t0)
-                assert same_partition(canonicalize(s.labels()), truth), (name, algname)
-            dt, lo, hi = _spread(times)
-            reads = s.state.c.as_dict()["parent_reads"]
+        cells = _cells(
+            {a: (lambda alg=alg: _fed(StreamingConnectIt(g.n, alg), [edges])) for a, alg in STREAM_ALGOS.items()},
+            lambda _, s: same_partition(s.labels(), truth),
+        )
+        for algname, cell in cells.items():
+            dt, lo, hi = cell.spread
+            reads = cell.outs[0].state.c.as_dict()["parent_reads"]
             rows.append(
                 {"graph": name, "algorithm": algname, "updates": len(edges),
                  "time_s": dt, "updates_per_s": len(edges) / dt,
@@ -254,7 +266,6 @@ def table4(
     return pd.DataFrame(rows)
 
 
-# ---------------------------------------------------------------- Table 5 --
 def table5(
     spark: SparkSession,
     scale: str = "mini",
@@ -262,9 +273,11 @@ def table5(
     total_edges: int | None = None,
 ) -> pd.DataFrame:
     """STINGER-analog vs ConnectIt UF-Rem-CAS{SplitAtomicOne}: batch inserts
-    into an empty graph, per-batch latency and throughput. Each cell is the
-    median of ``PASSES`` fresh passes over the stream, with their min–max
-    rates; the two systems alternate pass by pass."""
+    into an empty graph, per-batch latency and throughput. Each pass builds
+    a fresh system and feeds it the stream batch by batch; a cell is the
+    median warm pass (``_cells``) over the batches, with the min–max rates.
+    Every pass's labels are checked against the components of the edges
+    streamed."""
     n = {"test": 1 << 10, "mini": 1 << 14, "bench": 1 << 17}[scale]
     total = total_edges or {"test": 20_000, "mini": 200_000, "bench": 1_000_000}[scale]
     from repro.graphs.generators import rmat
@@ -276,22 +289,17 @@ def table5(
         if bs > len(edges):
             continue
         nbatches = max(1, len(edges) // bs)
-        batches = np.split(edges[: nbatches * bs], nbatches)
-        connectit, stinger = [], []
-        for _ in range(PASSES):
-            s = StreamingConnectIt(stream_g.n, UFSpec("uf-rem-cas", "naive", "split-one"))
-            t0 = time.perf_counter()
-            for b in batches:
-                s.process_batch(b)
-            connectit.append((time.perf_counter() - t0) / nbatches)
-            st = StingerLike(stream_g.n)
-            t0 = time.perf_counter()
-            for b in batches:
-                st.process_batch(b)
-            stinger.append((time.perf_counter() - t0) / nbatches)
-            assert same_partition(canonicalize(s.labels()), canonicalize(st.labels()))
-        ct, ct_lo, ct_hi = _spread(connectit)
-        stt, st_lo, st_hi = _spread(stinger)
+        streamed = edges[: nbatches * bs]
+        batches = np.split(streamed, nbatches)
+        s, d = streamed.T
+        truth = cc_labels(stream_g.n, np.concatenate([s, d]), np.concatenate([d, s]))  # hooks src ← dst only
+        cells = _cells(
+            {"connectit": lambda: _fed(StreamingConnectIt(stream_g.n, STREAM_ALGOS["UF-Rem-CAS"]), batches),
+             "stinger": lambda: _fed(StingerLike(stream_g.n), batches)},
+            lambda _, system: same_partition(system.labels(), truth),
+        )
+        ct, ct_lo, ct_hi = (t / nbatches for t in cells["connectit"].spread)
+        stt, st_lo, st_hi = (t / nbatches for t in cells["stinger"].spread)
         rows.append(
             {"batch": bs, "stinger_s": stt, "stinger_rate": bs / stt,
              "stinger_rate_min": bs / st_hi, "stinger_rate_max": bs / st_lo,
@@ -303,64 +311,56 @@ def table5(
 
 
 # ------------------------------------------------------------- Tables 6/7 --
+def _sampling_row(spark: SparkSession, name: str, scale: str, schemes: tuple[str, ...]) -> dict:
+    """One graph's row of Table 6 or 7: per scheme, the median sampling time
+    with its min–max, coverage and inter-component fraction."""
+    g = suite.get(name, scale)
+    row = {"graph": name}
+    for scheme in schemes:
+        cell = cached_sample(spark, name, scheme, scale)
+        dt, lo, hi = cell.spread
+        sample = cell.outs[0]
+        row |= {f"{scheme}_s": dt, f"{scheme}_s_min": lo, f"{scheme}_s_max": hi,
+                f"{scheme}_cov": sample.coverage(), f"{scheme}_ic": sample.intercomponent_fraction(g)}
+    return row
+
+
 def table6(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
     """BFS and LDD sampling: time, coverage, inter-component edge fraction."""
-    rows = []
-    for name in suite.GRAPH_NAMES:
-        g = suite.get(name, scale)
-        b = cached_sample(spark, name, "bfs", scale)
-        l = cached_sample(spark, name, "ldd", scale)
-        rows.append(
-            {"graph": name,
-             "bfs_s": b.time_s, "bfs_cov": b.coverage(), "bfs_ic": b.intercomponent_fraction(g),
-             "ldd_s": l.time_s, "ldd_cov": l.coverage(), "ldd_ic": l.intercomponent_fraction(g)}
-        )
-    return pd.DataFrame(rows)
+    return pd.DataFrame([_sampling_row(spark, name, scale, ("bfs", "ldd")) for name in suite.GRAPH_NAMES])
 
 
 def table7(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
     """k-out(Hybrid) sampling (k=2): time, coverage, inter-component fraction."""
-    rows = []
-    for name in suite.GRAPH_NAMES:
-        g = suite.get(name, scale)
-        s = cached_sample(spark, name, "kout", scale)
-        rows.append(
-            {"graph": name, "kout_s": s.time_s, "kout_cov": s.coverage(),
-             "kout_ic": s.intercomponent_fraction(g)}
-        )
-    return pd.DataFrame(rows)
+    return pd.DataFrame([_sampling_row(spark, name, scale, ("kout",)) for name in suite.GRAPH_NAMES])
 
 
 # ---------------------------------------------------------------- Table 8 --
 def table8(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
     """MapEdges / GatherEdges lower bounds vs ConnectIt, unsampled and with
-    k-out sampling (UF-Rem-CAS finish), all warm (``_warm_passes``). A
-    primitive's cell is the median of its own timing, which leaves out
-    building GatherEdges' vertex table; a ConnectIt cell is the median
-    end-to-end call. Each ``*_first_s`` cell is the same time in the cold
-    pass."""
+    k-out sampling (UF-Rem-CAS finish), all warm (``_cells``). A primitive's
+    cell is the median of its own timing, which leaves out building
+    GatherEdges' vertex table, and its row count must be the number of
+    vertices with an edge; a ConnectIt cell is the median end-to-end call,
+    checked against the true labels. Each ``*_first_s`` cell is the same
+    time in the cold pass."""
     rows = []
     for name in suite.GRAPH_NAMES:
         g = suite.get(name, scale)
         edges = g.df(spark)
         truth = _truth(g)
-        cold, runs = _warm_passes({
-            "map": lambda: map_edges(edges),
-            "gather": lambda: gather_edges(spark, edges, g.n),
-            "none": lambda: connectivity(spark, g, "none", "uf-rem-cas"),
-            "kout": lambda: connectivity(spark, g, "kout", "uf-rem-cas"),
-        })
-        for scheme in ("none", "kout"):
-            assert all(same_partition(out[0], truth) for _, out in runs[scheme]), (name, scheme)
-        rows.append(
-            {"graph": name,
-             "map_s": float(np.median([out[1] for _, out in runs["map"]])),
-             "map_first_s": cold["map"][1][1],
-             "gather_s": float(np.median([out[1] for _, out in runs["gather"]])),
-             "gather_first_s": cold["gather"][1][1],
-             "cc_nosample_s": float(np.median([t for t, _ in runs["none"]])),
-             "cc_nosample_first_s": cold["none"][0],
-             "cc_sample_s": float(np.median([t for t, _ in runs["kout"]])),
-             "cc_sample_first_s": cold["kout"][0]}
+        active = len(np.unique(g.src))
+        cells = _cells(
+            {"map": lambda: map_edges(edges),
+             "gather": lambda: gather_edges(spark, edges, g.n),
+             "cc_nosample": lambda: connectivity(spark, g, "none", "uf-rem-cas"),
+             "cc_sample": lambda: connectivity(spark, g, "kout", "uf-rem-cas")},
+            lambda s, out: out[0] == active if s in ("map", "gather") else same_partition(out[0], truth),
         )
+        row = {"graph": name}
+        for s, c in cells.items():
+            if s in ("map", "gather"):  # (rows, seconds): the primitive's own timing
+                c = c._replace(first_s=c.first[1], times=tuple(out[1] for out in c.outs))
+            row |= {f"{s}_s": c.spread[0], f"{s}_first_s": c.first_s}
+        rows.append(row)
     return pd.DataFrame(rows)

@@ -1,5 +1,6 @@
 """Harness smoke tests at test scale: tables build, have the right columns,
 and reproduce the paper's qualitative shapes on the tiny stand-ins."""
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,17 @@ def test_table5(spark):
     assert (df.speedup > 1).all()
 
 
+def test_table5_checks_against_the_oracle(spark, monkeypatch):
+    """Every Table 5 pass is checked against the components of the edges
+    streamed, not against the other system: two systems wrong the same way
+    fail."""
+    for name in ("StreamingConnectIt", "StingerLike"):
+        cls = getattr(T, name)
+        monkeypatch.setattr(T, name, type(name, (cls,), {"labels": lambda self: np.arange(self.n)}))
+    with pytest.raises(AssertionError, match="connectit: pass 0"):
+        T.table5(spark, "test", batch_sizes=(1000,), total_edges=4000)
+
+
 def test_table7(spark):
     df = T.table7(spark, "test")
     assert (df.kout_cov > 0.4).all()
@@ -49,10 +61,97 @@ def test_table4_reads_per_update(spark):
     assert reads["UF-Rem-CAS"] < reads["SV"]
 
 
+def test_table4_cells_are_fresh_warm_passes(spark, monkeypatch):
+    """Every Table 4 pass builds a fresh ``StreamingConnectIt`` inside the
+    timed call and feeds it the whole graph: 1 + PASSES constructions per
+    algorithm, and each cell is the median of its own warm passes."""
+    g = suite.get("LJ", "test")
+    algos = list(T.STREAM_ALGOS.values())
+    timed = [float(T.PASSES - i) for i in range(T.PASSES)]
+    clock, made, costs = [0.0], Counter(), {}
+
+    class Fake:
+        def __init__(self, n, alg):
+            made[alg] += 1
+            clock[0] += 0.5
+            self.n, self.alg = n, alg
+            self.state = SimpleNamespace(c=SimpleNamespace(as_dict=lambda: {"parent_reads": 3 * g.m_directed}))
+
+        def process_batch(self, edges):
+            start = 10 * algos.index(self.alg)
+            clock[0] += next(costs.setdefault(self.alg, iter([1000.0] + [start + t for t in timed])))
+            self.edges = edges
+
+        def labels(self):
+            return cc_labels(self.n, self.edges[:, 0], self.edges[:, 1])
+
+    monkeypatch.setattr(T, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(T, "StreamingConnectIt", Fake)
+    df = T.table4(spark, "test", graphs=("LJ",))
+    assert made == {alg: 1 + T.PASSES for alg in algos}
+    assert all(next(c, None) is None for c in costs.values())
+    for row, alg in zip(df.itertuples(), algos, strict=True):
+        own = [10 * algos.index(alg) + t + 0.5 for t in timed]  # the construction is timed too
+        assert row.updates == g.m_directed
+        assert row.time_s == np.median(own)
+        assert (row.updates_per_s_min, row.updates_per_s_max) == (g.m_directed / max(own), g.m_directed / min(own))
+        assert row.reads_per_update == 3
+
+
+def test_sampling_cells_are_warm_medians(spark, monkeypatch):
+    """A sampling cell is the median of PASSES warm ``run_sampling`` passes
+    after a cold one, with their min-max: Tables 6 and 7 print it, and
+    Table 3's ``time_s`` adds it to the finish's median. The three tables
+    share one cell per (graph, scheme), so each runs 1 + PASSES passes."""
+    timed = [float(T.PASSES - i) for i in range(T.PASSES)]
+    clock, costs = [0.0], {}
+
+    def own(name, scheme):
+        start = 100 * suite.GRAPH_NAMES.index(name) + 10 * T.SCHEMES.index(scheme)
+        return [start + t for t in timed]
+
+    def run_sampling(spark, g, scheme):
+        clock[0] += next(costs.setdefault((g.name, scheme), iter([1000.0] + own(g.name, scheme))))
+        return SampleResult(labels=cc_labels(g.n, g.src, g.dst), scheme=scheme)
+
+    def finish_with_sample(spark, g, sample, algo):
+        clock[0] += 0.5
+        return cc_labels(g.n, g.src, g.dst), {"finish_edges": 0, "rounds": 0}
+
+    monkeypatch.setattr(T, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(T, "_SAMPLE_CACHE", {})
+    monkeypatch.setattr(T, "run_sampling", run_sampling)
+    monkeypatch.setattr(T, "finish_with_sample", finish_with_sample)
+    monkeypatch.setattr(T, "SYSTEMS", {})
+    t6, t7 = T.table6(spark, "test"), T.table7(spark, "test")
+    t3 = T.table3(spark, "test", graphs=("RO",))
+    for df, schemes in ((t6, ("bfs", "ldd")), (t7, ("kout",))):
+        assert list(df.graph) == list(suite.GRAPH_NAMES)
+        for row in df.to_dict("records"):
+            for s in schemes:
+                times = own(row["graph"], s)
+                assert (row[f"{s}_s"], row[f"{s}_s_min"], row[f"{s}_s_max"]) == (np.median(times), min(times), max(times))
+                assert row[f"{s}_ic"] == 0
+    assert len(t3) == len(T.SCHEMES) * len(T.UF_ALGOS + T.MIN_ALGOS)
+    for row in t3.itertuples():
+        assert row.finish_time_s == 0.5
+        assert row.time_s == np.median(own("RO", row.sampling)) + 0.5
+    assert set(costs) == {(n, s) for n in suite.GRAPH_NAMES for s in ("bfs", "ldd", "kout")} | {
+        ("RO", s) for s in T.SCHEMES}
+    assert all(next(c, None) is None for c in costs.values())
+
+
 def test_table8(spark):
     df = T.table8(spark, "test")
     assert len(df) == len(suite.GRAPH_NAMES)
     assert (df.map_s > 0).all() and (df.gather_s > 0).all()
+
+
+def test_table8_checks_primitive_row_counts(spark, monkeypatch):
+    """A MapEdges pass must return one row per vertex with an edge."""
+    monkeypatch.setattr(T, "map_edges", lambda edges: (edges.select("src").distinct().count() - 1, 0.0))
+    with pytest.raises(AssertionError, match="map: pass 0"):
+        T.table8(spark, "test")
 
 
 def test_to_markdown(tmp_path, monkeypatch):
@@ -83,11 +182,13 @@ def test_jobs_common_puts_src_on_driver_path(tmp_path):
 
 
 def _fake_table3(monkeypatch, finish=None, systems=None):
-    """Table 3 with no Spark work: each graph's sample is a Spark-free
-    ``SampleResult`` whose ``time_s`` is 0.25, and every finish and system
-    returns the graph's components, unless ``finish`` or ``systems`` stands in."""
+    """Table 3 with no Spark work: each graph's sampling cell holds a
+    Spark-free ``SampleResult`` and passes of 0.25 s, and every finish and
+    system returns the graph's components, unless ``finish`` or ``systems``
+    stands in."""
     def sample(spark, name, scheme, scale):
-        return SampleResult(labels=np.arange(suite.get(name, scale).n), scheme=scheme, time_s=0.25)
+        s = SampleResult(labels=np.arange(suite.get(name, scale).n), scheme=scheme, time_s=0.25)
+        return T.Cell(0.25, s, (0.25,) * T.PASSES, (s,) * T.PASSES)
 
     def finish_with_sample(spark, g, sample, algo):
         return cc_labels(g.n, g.src, g.dst), {"finish_edges": 5, "rounds": 3}
@@ -174,25 +275,37 @@ def test_table3_covers_every_cell(spark, monkeypatch):
     assert set(df.graph) == set(suite.GRAPH_NAMES)
 
 
-def test_warm_passes_reports_cold_pass(monkeypatch):
-    """The first pass of each system comes back apart from its warm passes,
-    with its own time and output."""
-    clock = [0.0]
+def test_cells_cold_pass_rotation_and_check(monkeypatch):
+    """``_cells`` runs every system once cold, in the given order, then
+    PASSES warm passes that rotate the order; each cell keeps its cold pass
+    apart from its warm ones, and a pass that fails its check raises."""
+    clock, order = [0.0], []
 
     def system(name, costs):
         def run():
             cost = next(costs)
             clock[0] += cost
+            order.append(name)
             return name, cost
         return run
 
     monkeypatch.setattr(T, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
-    cold, warm = T._warm_passes({
-        "a": system("a", iter([50.0] + [1.0] * T.PASSES)),
-        "b": system("b", iter([70.0] + [2.0] * T.PASSES)),
-    })
-    assert cold == {"a": (50.0, ("a", 50.0)), "b": (70.0, ("b", 70.0))}
-    assert warm == {"a": [(1.0, ("a", 1.0))] * T.PASSES, "b": [(2.0, ("b", 2.0))] * T.PASSES}
+    warm = {"a": [1.0, 3.0, 2.0], "b": [4.0, 6.0, 5.0], "c": [9.0, 7.0, 8.0]}
+    assert T.PASSES == 3
+    cells = T._cells(
+        {s: system(s, iter([50.0 + i] + warm[s])) for i, s in enumerate(warm)},
+        lambda s, out: out[0] == s,
+    )
+    assert order == list("abc" "abc" "bca" "cab")
+    for i, (s, cell) in enumerate(cells.items()):
+        assert (cell.first_s, cell.first) == (50.0 + i, (s, 50.0 + i))
+        assert cell.times == tuple(warm[s]) and cell.outs == tuple((s, t) for t in warm[s])
+        assert cell.spread == (np.median(warm[s]), min(warm[s]), max(warm[s]))
+
+    fails = iter([True, True, True, False])  # cold a, cold b, then pass 1: a, b
+    with pytest.raises(AssertionError, match="b: pass 1"):
+        T._cells({"a": system("a", iter([1.0] * 4)), "b": system("b", iter([1.0] * 4))},
+                 lambda s, out: next(fails, True))
 
 
 def test_table1_first_s_is_the_cold_pass(spark, monkeypatch):
