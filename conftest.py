@@ -61,19 +61,19 @@ def spark() -> SparkSession:
     Broadcast joins are disabled, and no query asks for one: every edge
     table is one partition, so an edgeMap filters the edges by its
     frontier's mask (or, keyed, hash-joins the frontier) with no exchange.
+    The shuffles that remain (GatherEdges' join, the tests' own joins and
+    aggregates) run over tiny tables, so 8 shuffle partitions keep them cheap.
     """
     s = (
         SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", 8)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+    s.sparkContext.setLogLevel("ERROR")
+    # One stderr line that tells whether the cgroup derivation of the
+    # driver memory saw the real limit.
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "

@@ -1,3 +1,2 @@
 """ConnectIt core: sampling methods, finish methods, the two-phase framework,
 spanning forest, and batch-incremental streaming."""
-from repro.core.framework import connectivity, identify_frequent  # noqa: F401

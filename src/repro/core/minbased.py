@@ -68,16 +68,6 @@ class LTSpec:
         return cls(connect, root_up, shortcut, alter)
 
 
-def _neighbour_min(
-    spark: SparkSession, E: Edges, n: int, payload: np.ndarray, src: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(d, m)``: every vertex d adjacent to ``src`` (default: every vertex)
-    and the minimum ``payload`` over its neighbours in ``src``."""
-    src = np.arange(n, dtype=np.int64) if src is None else src
-    d, m, _ = _edge_map(spark, E, n, src, payload)
-    return d, m
-
-
 def _write_min(P: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """writeMin: a copy of P with P[x] ← min(P[x], c) for every pair."""
     P = P.copy()
@@ -118,13 +108,13 @@ def liu_tarjan(
         if spec.connect == "connect":
             # Connect: the edge endpoints are candidates for each other
             # (requires Alter for correctness, as in Liu-Tarjan).
-            d, m = _neighbour_min(spark, edges, n, f)
+            d, m, _ = _edge_map(spark, edges, n, np.arange(n, dtype=np.int64), f)
             x = f[d]
         else:
             # ParentConnect: P[dst] is a candidate for P[src] — the update
             # lands at the *parent*, which under RootUp is the round-start
             # root once trees are flat (Liu-Tarjan's P-* algorithms).
-            d, m = _neighbour_min(spark, edges, n, P[f])
+            d, m, _ = _edge_map(spark, edges, n, np.arange(n, dtype=np.int64), P[f])
             x = P[f[d]]
             if spec.connect == "extended":  # P[dst] is also a candidate for src itself
                 x, m = np.concatenate([x, f[d]]), np.concatenate([m, m])
@@ -150,7 +140,8 @@ def stergiou(spark: SparkSession, edges: Edges, n: int) -> tuple[np.ndarray, int
     prev = np.arange(n, dtype=np.int64)
 
     def connect(P: np.ndarray, read: np.ndarray) -> np.ndarray:
-        P = _write_min(P, *_neighbour_min(spark, edges, n, read))
+        d, m, _ = _edge_map(spark, edges, n, np.arange(n, dtype=np.int64), read)
+        P = _write_min(P, d, m)
         return P[P]
 
     def step(P: np.ndarray) -> np.ndarray:
@@ -202,7 +193,8 @@ def label_propagation(spark: SparkSession, edges: Edges, n: int) -> tuple[np.nda
 
     def step(P: np.ndarray) -> np.ndarray:
         nonlocal frontier
-        Q = _write_min(P, *_neighbour_min(spark, edges, n, P[frontier], frontier))
+        d, m, _ = _edge_map(spark, edges, n, frontier, P[frontier])
+        Q = _write_min(P, d, m)
         frontier = np.flatnonzero(Q < P)
         return Q
 

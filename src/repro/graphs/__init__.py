@@ -1,2 +1,1 @@
 """Graph substrate: generators, the evaluation suite, stats, ground truth."""
-from repro.graphs.generators import Graph  # noqa: F401

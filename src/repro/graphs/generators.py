@@ -139,9 +139,8 @@ def rmat(n: int, m: int, a: float = 0.5, b: float = 0.1, c: float = 0.1, seed: i
         src = src * 2 + ((r >= a + b) & (r < a + b + c)) + (r >= a + b + c)
         # quadrant: a→(0,0) b→(0,1) c→(1,0) d→(1,1)
         dst = dst * 2 + ((r >= a) & (r < a + b)) + (r >= a + b + c)
+    # fold the 2^levels ids into [0, n); a vertex no edge draws stays isolated
     src, dst = src % n, dst % n
-    # Tie every vertex into the id space lightly so n is meaningful even
-    # when RMAT leaves high ids untouched; isolated vertices remain possible.
     return from_pairs(name, n, src, dst)
 
 

@@ -1,10 +1,7 @@
-"""Graph statistics for Table 2: n, m, diameter, components, load time."""
+"""Graph statistics for Table 2: n, m, diameter, components."""
 from __future__ import annotations
 
-import time
-
 import numpy as np
-from pyspark.sql import SparkSession
 
 from repro.graphs.generators import Graph
 from repro.graphs.ground_truth import (
@@ -39,10 +36,11 @@ def diameter_lower_bound(g: Graph, sweeps: int = 2) -> int:
     return best
 
 
-def graph_stats(g: Graph, spark: SparkSession | None = None) -> dict:
-    """Table 2 row for one graph (load time = time to materialize edges DF)."""
+def graph_stats(g: Graph) -> dict:
+    """Table 2 row for one graph, without the load time, which
+    ``harness.tables.table2`` times."""
     labels = cc_labels(g.n, g.src, g.dst)
-    row = {
+    return {
         "graph": g.name,
         "n": g.n,
         "m": g.m,
@@ -50,9 +48,3 @@ def graph_stats(g: Graph, spark: SparkSession | None = None) -> dict:
         "num_components": num_components(labels),
         "largest_component": largest_component_size(labels),
     }
-    if spark is not None:
-        t0 = time.perf_counter()
-        # a fresh DataFrame, not the one Graph.df memoizes per session
-        spark.createDataFrame(g.pandas()).count()
-        row["load_time_s"] = round(time.perf_counter() - t0, 4)
-    return row

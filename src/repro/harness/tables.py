@@ -2,7 +2,7 @@
 
 Each ``tableN(spark, scale)`` runs the experiment on the stand-in suite and
 returns a pandas DataFrame with the measured rows; ``to_markdown`` writes it
-under results/. Every timed cell of Tables 1 and 3–8 comes from one runner,
+under results/. Every timed cell of the eight tables comes from one runner,
 ``_cells``: a cold pass, then ``PASSES`` warm passes in rotating order, each
 pass's output checked. Sampling cells are cached per (graph, scheme, scale)
 so Tables 3, 6 and 7 share one sampling run, and Table 3's finishes share it
@@ -30,6 +30,7 @@ from repro.baselines.workeff import workeff_cc
 from repro.core.framework import connectivity, finish_with_sample, run_sampling
 from repro.core.streaming import StreamingConnectIt
 from repro.graphs import suite
+from repro.graphs.generators import edge_frame
 from repro.graphs.ground_truth import canonicalize, cc_labels, same_partition
 from repro.graphs.stats import graph_stats
 from repro.unionfind import UFSpec
@@ -42,10 +43,9 @@ PASSES = 3  # warm passes per cell
 class Cell(NamedTuple):
     """One system's passes in a table cell, as ``_cells`` ran them."""
 
-    first_s: float  # the cold pass: its seconds and output
-    first: object
+    first_s: float  # the cold pass's seconds
     times: tuple[float, ...]  # the PASSES warm passes, in pass order
-    outs: tuple
+    out: object  # the first warm pass's output
 
     @property
     def spread(self) -> tuple[float, float, float]:
@@ -63,19 +63,25 @@ def _cells(
     warm-up too) and is left out of the warm cell. The ``PASSES`` warm passes
     then rotate the system order, so no system always runs first. A pass
     whose output fails ``check(system, output)`` raises ``AssertionError``.
+    A cell keeps only the first warm pass's output: every other output is
+    dropped once checked, before the next pass runs, so a table holds at
+    most two outputs of a system at once.
     """
     names = list(systems)
-    runs: dict[str, list[tuple[float, object]]] = {s: [] for s in names}
+    times: dict[str, list[float]] = {s: [] for s in names}
+    kept: dict[str, object] = {}
     for p in range(1 + PASSES):
         k = max(p - 1, 0)  # pass 0 is the cold pass; warm pass p rotates by p - 1
         for s in names[k:] + names[:k]:
             t0 = time.perf_counter()
             out = systems[s]()
-            dt = time.perf_counter() - t0
+            times[s].append(time.perf_counter() - t0)
             if not check(s, out):
                 raise AssertionError(f"{s}: pass {p} failed its check")
-            runs[s].append((dt, out))
-    return {s: Cell(*r[0], *zip(*r[1:])) for s, r in runs.items()}
+            if p == 1:
+                kept[s] = out
+            del out  # before the next pass builds its own
+    return {s: Cell(t[0], tuple(t[1:]), kept[s]) for s, t in times.items()}
 
 
 _SAMPLE_CACHE: dict[tuple, Cell] = {}
@@ -87,8 +93,8 @@ def cached_sample(spark: SparkSession, name: str, scheme: str, scale: str) -> Ce
 
     The graph's edge table is built first, so no pass pays for it. Every
     pass's sample must refine the true components. Sampling is seeded, so
-    every pass returns the same sample; its readers take the first warm
-    pass's (``outs[0]``).
+    every pass returns the same sample; the cell keeps the first warm
+    pass's (``out``).
     """
     key = (name, scheme, scale)
     if key not in _SAMPLE_CACHE:
@@ -166,7 +172,18 @@ def table1(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
 
 # ---------------------------------------------------------------- Table 2 --
 def table2(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
-    return pd.DataFrame([graph_stats(suite.get(n, scale), spark) for n in suite.GRAPH_NAMES])
+    """Graph inputs (``graph_stats``) and each graph's load time: the median
+    warm pass of ``edge_frame``, the one path from a graph's edge arrays to
+    its Spark edge table, with its min–max (``_cells``). Every pass's table
+    must hold every directed edge, counted outside the timed call."""
+    graphs = {name: suite.get(name, scale) for name in suite.GRAPH_NAMES}
+    cells = _cells({name: functools.partial(edge_frame, spark, g.src, g.dst) for name, g in graphs.items()},
+                   lambda name, edges: edges.count() == graphs[name].m_directed)
+    rows = []
+    for name, g in graphs.items():
+        dt, lo, hi = cells[name].spread
+        rows.append(graph_stats(g) | {"load_time_s": dt, "load_time_s_min": lo, "load_time_s_max": hi})
+    return pd.DataFrame(rows)
 
 
 # ---------------------------------------------------------------- Table 3 --
@@ -195,11 +212,11 @@ def table3(
         truth = _truth(g)
         for scheme in SCHEMES:
             sampled = cached_sample(spark, name, scheme, scale)
-            finishes = {a: functools.partial(finish_with_sample, spark, g, sampled.outs[0], a)
+            finishes = {a: functools.partial(finish_with_sample, spark, g, sampled.out, a)
                         for a in UF_ALGOS + MIN_ALGOS}
             for algo, cell in _cells(finishes, lambda _, out: same_partition(out[0], truth)).items():
                 dt, lo, hi = cell.spread
-                info = cell.outs[0][1]
+                info = cell.out[1]
                 rows.append(
                     {"graph": name, "sampling": scheme, "algorithm": algo, "time_s": sampled.spread[0] + dt,
                      "finish_time_s": dt, "finish_edges": info["finish_edges"], "rounds": info["rounds"],
@@ -211,7 +228,7 @@ def table3(
             dt, lo, hi = cell.spread
             rows.append(
                 {"graph": name, "sampling": "-", "algorithm": sysname, "time_s": dt,
-                 "finish_time_s": dt, "finish_edges": g.m_directed, "rounds": cell.outs[0][1].get("rounds"),
+                 "finish_time_s": dt, "finish_edges": g.m_directed, "rounds": cell.out[1].get("rounds"),
                  "parent_reads": None, "finish_time_s_min": lo, "finish_time_s_max": hi}
             )
     return pd.DataFrame(rows).astype({"parent_reads": "Int64"})
@@ -250,13 +267,12 @@ def table4(
         g = suite.streaming_graph(name, scale) if name in ("RM", "BA") else suite.get(name, scale)
         edges = np.stack([g.src, g.dst], axis=1)
         truth = _truth(g)
-        cells = _cells(
+        for algname, cell in _cells(
             {a: (lambda alg=alg: _fed(StreamingConnectIt(g.n, alg), [edges])) for a, alg in STREAM_ALGOS.items()},
             lambda _, s: same_partition(s.labels(), truth),
-        )
-        for algname, cell in cells.items():
+        ).items():
             dt, lo, hi = cell.spread
-            reads = cell.outs[0].state.c.as_dict()["parent_reads"]
+            reads = cell.out.state.c.as_dict()["parent_reads"]
             rows.append(
                 {"graph": name, "algorithm": algname, "updates": len(edges),
                  "time_s": dt, "updates_per_s": len(edges) / dt,
@@ -293,13 +309,13 @@ def table5(
         batches = np.split(streamed, nbatches)
         s, d = streamed.T
         truth = cc_labels(stream_g.n, np.concatenate([s, d]), np.concatenate([d, s]))  # hooks src ← dst only
-        cells = _cells(
+        # per-batch seconds; the cells, and the systems they keep, go with this batch size
+        per_batch = {s: [t / nbatches for t in cell.spread] for s, cell in _cells(
             {"connectit": lambda: _fed(StreamingConnectIt(stream_g.n, STREAM_ALGOS["UF-Rem-CAS"]), batches),
              "stinger": lambda: _fed(StingerLike(stream_g.n), batches)},
             lambda _, system: same_partition(system.labels(), truth),
-        )
-        ct, ct_lo, ct_hi = (t / nbatches for t in cells["connectit"].spread)
-        stt, st_lo, st_hi = (t / nbatches for t in cells["stinger"].spread)
+        ).items()}
+        (ct, ct_lo, ct_hi), (stt, st_lo, st_hi) = per_batch["connectit"], per_batch["stinger"]
         rows.append(
             {"batch": bs, "stinger_s": stt, "stinger_rate": bs / stt,
              "stinger_rate_min": bs / st_hi, "stinger_rate_max": bs / st_lo,
@@ -319,7 +335,7 @@ def _sampling_row(spark: SparkSession, name: str, scale: str, schemes: tuple[str
     for scheme in schemes:
         cell = cached_sample(spark, name, scheme, scale)
         dt, lo, hi = cell.spread
-        sample = cell.outs[0]
+        sample = cell.out
         row |= {f"{scheme}_s": dt, f"{scheme}_s_min": lo, f"{scheme}_s_max": hi,
                 f"{scheme}_cov": sample.coverage(), f"{scheme}_ic": sample.intercomponent_fraction(g)}
     return row
@@ -338,12 +354,12 @@ def table7(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
 # ---------------------------------------------------------------- Table 8 --
 def table8(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
     """MapEdges / GatherEdges lower bounds vs ConnectIt, unsampled and with
-    k-out sampling (UF-Rem-CAS finish), all warm (``_cells``). A primitive's
-    cell is the median of its own timing, which leaves out building
-    GatherEdges' vertex table, and its row count must be the number of
-    vertices with an edge; a ConnectIt cell is the median end-to-end call,
-    checked against the true labels. Each ``*_first_s`` cell is the same
-    time in the cold pass."""
+    k-out sampling (UF-Rem-CAS finish), all warm (``_cells``). Every cell is
+    the median whole call, so GatherEdges' includes building its vertex
+    table, as a keyed edgeMap round pays for its frontier table. A
+    primitive's row count must be the number of vertices with an edge; a
+    ConnectIt call is checked against the true labels. Each ``*_first_s``
+    cell is the cold pass."""
     rows = []
     for name in suite.GRAPH_NAMES:
         g = suite.get(name, scale)
@@ -359,8 +375,6 @@ def table8(spark: SparkSession, scale: str = "mini") -> pd.DataFrame:
         )
         row = {"graph": name}
         for s, c in cells.items():
-            if s in ("map", "gather"):  # (rows, seconds): the primitive's own timing
-                c = c._replace(first_s=c.first[1], times=tuple(out[1] for out in c.outs))
             row |= {f"{s}_s": c.spread[0], f"{s}_first_s": c.first_s}
         rows.append(row)
     return pd.DataFrame(rows)

@@ -1,18 +1,10 @@
-"""Shared test fixtures: Spark tuning and common tiny graphs."""
+"""Shared test fixtures: Spark job counts, edgeMap call counts and common
+tiny graphs."""
 import numpy as np
 import pytest
 from pyspark.sql import DataFrame
 
 from repro.graphs import generators as gen
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _quiet_small_shuffles(spark):
-    """Iteration state in tests is tiny — 8 shuffle partitions keeps each
-    dataflow round cheap."""
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    spark.sparkContext.setLogLevel("ERROR")
-    yield
 
 
 @pytest.fixture(scope="session")

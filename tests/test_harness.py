@@ -1,15 +1,18 @@
 """Harness smoke tests at test scale: tables build, have the right columns,
 and reproduce the paper's qualitative shapes on the tiny stand-ins."""
+import weakref
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import DataFrame
 
 from repro.core.sampling import SampleResult
 from repro.harness import tables as T
 from repro.graphs import suite
+from repro.graphs.generators import edge_frame
 from repro.graphs.ground_truth import cc_labels
 
 
@@ -18,6 +21,14 @@ def test_table2(spark):
     assert list(df.graph) == list(suite.GRAPH_NAMES)
     assert {"n", "m", "diameter_lb", "num_components", "largest_component", "load_time_s"} <= set(df.columns)
     assert (df.load_time_s > 0).all()
+    assert (df.load_time_s_min <= df.load_time_s).all() and (df.load_time_s <= df.load_time_s_max).all()
+
+
+def test_table2_checks_every_load(spark, monkeypatch):
+    """A Table 2 pass must load every directed edge of its graph."""
+    monkeypatch.setattr(T, "edge_frame", lambda spark, src, dst: edge_frame(spark, src[1:], dst[1:]))
+    with pytest.raises(AssertionError, match="RO: pass 0"):
+        T.table2(spark, "test")
 
 
 def test_table5(spark):
@@ -37,6 +48,28 @@ def test_table5_checks_against_the_oracle(spark, monkeypatch):
         monkeypatch.setattr(T, name, type(name, (cls,), {"labels": lambda self: np.arange(self.n)}))
     with pytest.raises(AssertionError, match="connectit: pass 0"):
         T.table5(spark, "test", batch_sizes=(1000,), total_edges=4000)
+
+
+def test_table5_keeps_at_most_two_systems_alive(spark, monkeypatch):
+    """A cell keeps only its first warm pass's output, so while Table 5 runs
+    at most two instances of either system are alive: the kept one and the
+    one a pass is building."""
+    peak = Counter()
+
+    def tracked(cls):
+        live = weakref.WeakSet()
+
+        def __init__(self, *args):
+            cls.__init__(self, *args)
+            live.add(self)
+            peak[cls.__name__] = max(peak[cls.__name__], len(live))
+        return type(cls.__name__, (cls,), {"__init__": __init__})
+
+    for name in ("StreamingConnectIt", "StingerLike"):
+        monkeypatch.setattr(T, name, tracked(getattr(T, name)))
+    T.table5(spark, "test", batch_sizes=(100, 1000), total_edges=4000)
+    assert set(peak) == {"StreamingConnectIt", "StingerLike"}
+    assert max(peak.values()) <= 2
 
 
 def test_table7(spark):
@@ -154,6 +187,28 @@ def test_table8_checks_primitive_row_counts(spark, monkeypatch):
         T.table8(spark, "test")
 
 
+def test_table8_primitive_cells_are_whole_calls(spark, monkeypatch):
+    """A MapEdges or GatherEdges cell times the whole call, as a ConnectIt
+    cell does, not the seconds the primitive reports itself."""
+    clock = [0.0]
+
+    def primitive(cost):
+        def run(*args):
+            edges = next(a for a in args if isinstance(a, DataFrame))
+            clock[0] += cost
+            return edges.select("src").distinct().count(), 1000.0
+        return run
+
+    monkeypatch.setattr(T, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(T, "map_edges", primitive(2.0))
+    monkeypatch.setattr(T, "gather_edges", primitive(3.0))
+    monkeypatch.setattr(T, "connectivity", lambda spark, g, *a: (cc_labels(g.n, g.src, g.dst), {}))
+    df = T.table8(spark, "test")
+    assert (df.map_s == 2.0).all() and (df.map_first_s == 2.0).all()
+    assert (df.gather_s == 3.0).all() and (df.gather_first_s == 3.0).all()
+    assert (df.cc_sample_s == 0.0).all()
+
+
 def test_to_markdown(tmp_path, monkeypatch):
     monkeypatch.setattr(T, "RESULTS_DIR", tmp_path)
     path = T.to_markdown(pd.DataFrame({"a": [1.0]}), "t")
@@ -188,7 +243,7 @@ def _fake_table3(monkeypatch, finish=None, systems=None):
     stands in."""
     def sample(spark, name, scheme, scale):
         s = SampleResult(labels=np.arange(suite.get(name, scale).n), scheme=scheme, time_s=0.25)
-        return T.Cell(0.25, s, (0.25,) * T.PASSES, (s,) * T.PASSES)
+        return T.Cell(0.25, (0.25,) * T.PASSES, s)
 
     def finish_with_sample(spark, g, sample, algo):
         return cc_labels(g.n, g.src, g.dst), {"finish_edges": 5, "rounds": 3}
@@ -278,7 +333,8 @@ def test_table3_covers_every_cell(spark, monkeypatch):
 def test_cells_cold_pass_rotation_and_check(monkeypatch):
     """``_cells`` runs every system once cold, in the given order, then
     PASSES warm passes that rotate the order; each cell keeps its cold pass
-    apart from its warm ones, and a pass that fails its check raises."""
+    apart from its warm ones and only the first warm pass's output, and a
+    pass that fails its check raises."""
     clock, order = [0.0], []
 
     def system(name, costs):
@@ -298,8 +354,8 @@ def test_cells_cold_pass_rotation_and_check(monkeypatch):
     )
     assert order == list("abc" "abc" "bca" "cab")
     for i, (s, cell) in enumerate(cells.items()):
-        assert (cell.first_s, cell.first) == (50.0 + i, (s, 50.0 + i))
-        assert cell.times == tuple(warm[s]) and cell.outs == tuple((s, t) for t in warm[s])
+        assert cell.first_s == 50.0 + i
+        assert cell.times == tuple(warm[s]) and cell.out == (s, warm[s][0])
         assert cell.spread == (np.median(warm[s]), min(warm[s]), max(warm[s]))
 
     fails = iter([True, True, True, False])  # cold a, cold b, then pass 1: a, b
