@@ -1,7 +1,8 @@
 """Re-implemented comparator systems from the paper's evaluation (§4.3, C.2.1).
 
 Each baseline is built in the same substrate as the matching ConnectIt path
-so ratios are meaningful: dataflow baselines (BFSCC, WorkeffCC, MultiStep,
-GAP-SV) run as Spark iterations like the min-based finishes; driver baselines
-(GAP-Afforest, PatwaryRM) run on the driver like the union-find finishes.
+so ratios are meaningful: the dataflow baselines (BFSCC, WorkeffCC,
+MultiStep) run as Spark iterations like the min-based finishes. GAP-SV,
+GAP-Afforest and PatwaryRM are ConnectIt configurations, so they are no
+modules here but entries of ``harness.tables.SYSTEMS``.
 """

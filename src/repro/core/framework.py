@@ -41,9 +41,8 @@ from repro.core import minbased, sampling as sampling_mod, uf_finish
 from repro.core.sampling import identify_frequent
 from repro.graphs.generators import Graph
 from repro.graphs.ground_truth import canonicalize
-from repro.unionfind import UFSpec
+from repro.unionfind import VARIANTS as UF_FINISHES, UFSpec
 
-UF_FINISHES = ("uf-async", "uf-hooks", "uf-early", "uf-rem-cas", "uf-rem-lock", "uf-jtb")
 MINBASED_FINISHES = ("sv", "stergiou", "labelprop") + tuple(f"lt-{c}" for c in minbased.LT_CODES)
 ALL_FINISHES = UF_FINISHES + MINBASED_FINISHES
 # finishes that hook only roots, so their hooks form a spanning forest (§3.4)
@@ -163,7 +162,7 @@ def finish_with_sample(
     }
 
     if finish in UF_FINISHES:
-        spec = uf_spec or _default_spec(finish)
+        spec = uf_spec or UFSpec(finish)
         if spec.variant != finish:
             raise ValueError(f"uf_spec variant {spec.variant} does not match finish {finish}")
         edges = np.stack([g.src, g.dst], axis=1)
@@ -198,11 +197,3 @@ def finish_with_sample(
     info["finish_time_s"] = time.perf_counter() - t1
     info["total_time_s"] = sample.time_s + info["finish_time_s"]
     return canonicalize(labels), info
-
-
-def _default_spec(finish: str) -> UFSpec:
-    """The paper's recommended option per family (§4.1: FindNaive +
-    SplitAtomicOne for Rem's; FindNaive elsewhere; two-try for UF-JTB)."""
-    if finish == "uf-jtb":
-        return UFSpec("uf-jtb", "two-try")
-    return UFSpec(finish, "naive", "split-one")

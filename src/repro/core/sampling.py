@@ -161,7 +161,7 @@ def kout_sample(
     if k < 1:
         raise ValueError(f"k-out sampling needs k >= 1, got {k}")
     pairs = _pick_pairs(g.df(spark), g.n, variant, k, seed)
-    labels, st = run_components(g.n, pairs, UFSpec("uf-rem-cas", "naive", "split-one"))
+    labels, st = run_components(g.n, pairs, UFSpec())
     # full compression already applied: labeling is height-1 (roots + leaves)
     return SampleResult(
         labels=labels,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.unionfind import UFSpec, UFState, full_shortcut, make_union
-from repro.unionfind.core import READS, UNIONS, WRITES, as_batches, check_vertex_count, id_pairs
+from repro.unionfind.core import READS, UNIONS, WRITES, as_batch, check_vertex_count, id_pairs
 from repro.unionfind.finds import make_connected
 
 
@@ -43,15 +43,13 @@ class StreamingConnectIt:
     non-negative integer, raises ``ValueError``.
     """
 
-    def __init__(self, n: int, algorithm: UFSpec | str = UFSpec("uf-rem-cas", "naive", "split-one")):
+    def __init__(self, n: int, algorithm: UFSpec | str = UFSpec()):
         check_vertex_count(n)
         self.n = n
         self.algorithm = algorithm
         self.state = UFState(n)
         if isinstance(algorithm, UFSpec):
-            self.type = 3 if (
-                algorithm.variant in ("uf-rem-cas", "uf-rem-lock") and algorithm.splice == "splice"
-            ) else 1
+            self.type = 3 if algorithm.splice == "splice" else 1
             self._union = make_union(algorithm, self.state)
         elif algorithm in ("sv", "lt-root"):
             self.type = 2
@@ -77,7 +75,7 @@ class StreamingConnectIt:
         batch start (B.4's correctness notion); for Type 3 it is the required
         phase order.
         """
-        updates, queries = as_batches(self.n, updates, [] if queries is None else queries)
+        updates, queries = as_batch(self.n, updates), as_batch(self.n, [] if queries is None else queries)
         if self.type == 2:
             self._batch_rounds(updates)
             self.state.c.a[UNIONS] += len(updates)

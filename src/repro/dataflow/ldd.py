@@ -38,6 +38,7 @@ def ldd_labels(
     center = np.full(n, -1, dtype=np.int64)  # -1: not clustered yet
     parent = np.full(n, -1, dtype=np.int64)
     frontier = np.empty(0, dtype=np.int64)
+    unset = np.iinfo(np.int64).max  # no candidate this round
     t = 0
     while (center < 0).any():
         # candidates (v, center, parent): unclustered vertices due to start a
@@ -49,12 +50,10 @@ def ldd_labels(
             keep = center[d] < 0
             cand.append((d[keep], c[keep], par[keep]))
         v, c, par = (np.concatenate(a) for a in zip(*cand))
-        # each vertex takes its min (center, parent)
-        order = np.lexsort((par, c, v))
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = v[order[1:]] != v[order[:-1]]
-        win = order[first]
-        frontier = v[win]
-        center[frontier], parent[frontier] = c[win], par[win]
+        # each vertex takes its min (center, parent), packed as center·n + parent
+        best = np.full(n, unset, dtype=np.int64)
+        np.minimum.at(best, v, c * n + par)
+        frontier = np.flatnonzero(best != unset)
+        center[frontier], parent[frontier] = np.divmod(best[frontier], n)
         t += 1
     return center, parent, t

@@ -18,7 +18,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.unionfind.core import as_batches, check_vertex_count
+from repro.unionfind.core import as_batch, check_vertex_count
 
 
 def _dedupe_symmetrize(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -27,7 +27,7 @@ def _dedupe_symmetrize(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.nda
     Vertex ids must be integers in ``[0, n)`` (``ValueError`` otherwise) and
     fit in 31 bits so a pair packs into one int64 key.
     """
-    src, dst = as_batches(n, np.stack([np.asarray(src), np.asarray(dst)], axis=1))[0].T
+    src, dst = as_batch(n, np.stack([np.asarray(src), np.asarray(dst)], axis=1)).T
     keep = src != dst
     src, dst = src[keep], dst[keep]
     a = np.concatenate([src, dst])
@@ -72,7 +72,7 @@ class Graph:
         differently, so it would give a silently wrong partition."""
         check_vertex_count(self.n)
         # np.stack raises ValueError too when src and dst differ in length
-        src, dst = as_batches(self.n, np.stack([np.asarray(self.src), np.asarray(self.dst)], axis=1))[0].T
+        src, dst = as_batch(self.n, np.stack([np.asarray(self.src), np.asarray(self.dst)], axis=1)).T
         key = src * np.int64(self.n) + dst
         if not (key[1:] >= key[:-1]).all():  # from_pairs emits its rows in key order
             key = np.sort(key)

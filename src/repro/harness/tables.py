@@ -21,9 +21,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.baselines.bfscc import bfscc
-from repro.baselines.gap import gap_afforest, gap_sv
 from repro.baselines.multistep import multistep
-from repro.baselines.patwary import patwary_rm
 from repro.baselines.primitives import gather_edges, map_edges
 from repro.baselines.stinger_like import StingerLike
 from repro.baselines.workeff import workeff_cc
@@ -135,10 +133,18 @@ def to_markdown(df: pd.DataFrame, name: str) -> Path:
 
 
 # ---------------------------------------------------------------- Table 1 --
-# The other systems of Tables 1 and 3, each called as ``fn(spark, g)``.
+# The other systems of Tables 1 and 3, each called as ``fn(spark, g)``. Three
+# are ConnectIt configurations: the GAP suite's [12] Shiloach-Vishkin is the
+# unsampled SV finish; its Afforest [104] is kout-afforest sampling (first k
+# neighbours) with a UF-Rem-CAS finish that skips the most frequent
+# component; PatwaryRM [84] is the unsampled UF-Rem-Lock with SpliceAtomic.
 SYSTEMS = {
     "BFSCC": bfscc, "WorkeffCC": workeff_cc, "MultiStep": multistep,
-    "GAP-SV": gap_sv, "GAP-Afforest": gap_afforest, "PatwaryRM": patwary_rm,
+    "GAP-SV": functools.partial(connectivity, sampling="none", finish="sv"),
+    "GAP-Afforest": functools.partial(connectivity, sampling="kout", finish="uf-rem-cas",
+                                      sampling_opts={"variant": "afforest"}),
+    "PatwaryRM": functools.partial(connectivity, sampling="none", finish="uf-rem-lock",
+                                   uf_spec=UFSpec("uf-rem-lock", splice="splice")),
 }
 
 
@@ -236,12 +242,12 @@ def table3(
 
 # ------------------------------------------------------------- Tables 4/5 --
 STREAM_ALGOS = {
-    "UF-Early": UFSpec("uf-early", "naive"),
-    "UF-Hooks": UFSpec("uf-hooks", "naive"),
-    "UF-Async": UFSpec("uf-async", "naive"),
-    "UF-Rem-CAS": UFSpec("uf-rem-cas", "naive", "split-one"),
-    "UF-Rem-Lock": UFSpec("uf-rem-lock", "naive", "split-one"),
-    "UF-JTB": UFSpec("uf-jtb", "two-try"),
+    "UF-Early": UFSpec("uf-early"),
+    "UF-Hooks": UFSpec("uf-hooks"),
+    "UF-Async": UFSpec("uf-async"),
+    "UF-Rem-CAS": UFSpec(),
+    "UF-Rem-Lock": UFSpec("uf-rem-lock"),
+    "UF-JTB": UFSpec("uf-jtb"),
     "Liu-Tarjan": "lt-root",
     "SV": "sv",
 }

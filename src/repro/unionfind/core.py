@@ -46,66 +46,86 @@ class Counters:
         return f"Counters({self.as_dict()})"
 
 
+# The union-find option space (paper §3.3.1): the finds and splices each
+# variant takes, its §4.1 default first. UF-JTB links with FindNaive or
+# FindTwoTrySplit only, and only Rem's algorithms splice.
+_FINDS = ("naive", "split", "halve", "compress")
+SPLICE_OPTIONS = ("split-one", "halve-one", "splice")
+OPTIONS = {
+    "uf-async": (_FINDS, (None,)),
+    "uf-hooks": (_FINDS, (None,)),
+    "uf-early": (_FINDS, (None,)),
+    "uf-rem-cas": (_FINDS, SPLICE_OPTIONS),
+    "uf-rem-lock": (_FINDS, SPLICE_OPTIONS),
+    "uf-jtb": (("two-try", "naive"), (None,)),
+}
+VARIANTS = tuple(OPTIONS)
+FIND_OPTIONS = (*_FINDS, "two-try")
+
+
 @dataclass(frozen=True)
 class UFSpec:
-    """One union-find algorithm instantiation.
+    """One union-find algorithm instantiation, checked when it is built.
 
     variant: uf-async | uf-hooks | uf-early | uf-rem-cas | uf-rem-lock | uf-jtb
-    find:    naive | split | halve | compress | two-try (uf-jtb only)
-    splice:  split-one | halve-one | splice (Rem's algorithms only)
+    find:    naive | split | halve | compress; UF-JTB: two-try | naive
+    splice:  split-one | halve-one | splice, Rem's algorithms only
 
-    The invalid SpliceAtomic + FindCompress combination (paper B.2.3) is
-    rejected at construction.
+    ``OPTIONS`` is the whole space. A find or splice left out takes the
+    variant's §4.1 default (``naive``; ``split-one`` for Rem's algorithms;
+    ``two-try`` for UF-JTB), so ``UFSpec(v)`` is the paper's recommended
+    option for variant v and ``UFSpec()`` is UF-Rem-CAS's. An unknown name
+    raises ``KeyError``; a known option the variant does not take raises
+    ``ValueError``, as does SpliceAtomic with FindCompress (paper B.2.3).
     """
 
     variant: str = "uf-rem-cas"
-    find: str = "naive"
-    splice: str = "split-one"
+    find: str | None = None
+    splice: str | None = None
 
     def __post_init__(self) -> None:
-        if self.variant in ("uf-rem-cas", "uf-rem-lock") and self.splice == "splice" and self.find == "compress":
+        if self.variant not in OPTIONS:
+            raise KeyError(f"unknown union-find variant {self.variant!r}; options: {VARIANTS}")
+        for kind, name, known in (("find", self.find, FIND_OPTIONS), ("splice", self.splice, SPLICE_OPTIONS)):
+            if name is not None and name not in known:
+                raise KeyError(f"unknown {kind} option {name!r}; options: {known}")
+        finds, splices = OPTIONS[self.variant]
+        find = finds[0] if self.find is None else self.find
+        splice = splices[0] if self.splice is None else self.splice
+        if find not in finds:
+            raise ValueError(f"{self.variant} takes find {', '.join(finds)}; not {find!r}")
+        if splice not in splices:
+            raise ValueError(f"{self.variant} takes no splice ({splice!r}): only Rem's algorithms splice")
+        if splice == "splice" and find == "compress":
             raise ValueError("SpliceAtomic + FindCompress is incorrect (paper Appendix B.2.3)")
+        object.__setattr__(self, "find", find)
+        object.__setattr__(self, "splice", splice)
 
     @property
     def key(self) -> str:
-        s = f"{self.variant}/{self.find}"
-        if self.variant in ("uf-rem-cas", "uf-rem-lock"):
-            s += f"/{self.splice}"
-        return s
+        return "/".join(o for o in (self.variant, self.find, self.splice) if o is not None)
 
 
 class UFState:
-    """Shared-memory state: parents list + hooks/priorities as needed.
+    """Shared-memory state: the parents list and the counters.
 
-    ``parent`` (and ``hooks``/``prio``) are plain Python lists that live as
-    long as the state: the kernel's closures hold references to them, so they
-    are only ever updated in place. Numpy arrays appear only at the edges
+    ``parent`` is a plain Python list that lives as long as the state: the
+    kernel's closures hold references to it, so it is only ever updated in
+    place. Numpy arrays appear only at the edges
     (``compress_all``, ``forest``). ``forest`` is the ``(k, 2)`` int64 array
     of the edges that hooked a root, in hook order; ``run_components`` fills
     it, and a state driven through ``make_union`` directly keeps it empty.
     """
 
-    __slots__ = ("parent", "hooks", "prio", "c", "forest")
+    __slots__ = ("parent", "c", "forest")
 
     def __init__(self, n: int, labels: np.ndarray | None = None):
         if labels is None:
             self.parent = list(range(n))
         else:
             self.parent = np.asarray(labels, dtype=np.int64).tolist()
-        self.hooks: list[int] | None = None  # UF-Hooks
-        self.prio: list[int] | None = None  # UF-JTB random priorities
         self.c = Counters()
         self.forest = np.empty((0, 2), dtype=np.int64)
-
-    def ensure_hooks(self) -> list[int]:
-        if self.hooks is None:
-            self.hooks = [-1] * len(self.parent)
-        return self.hooks
-
-    def ensure_prio(self) -> list[int]:
-        if self.prio is None:  # seed 0: every run links by the same priorities
-            self.prio = np.random.default_rng(0).permutation(len(self.parent)).tolist()
-        return self.prio
 
     def compress_all(self) -> np.ndarray:
         """Vectorized full path compression (used after sampling / at exit).
@@ -134,32 +154,28 @@ def check_vertex_count(n) -> None:
         raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
 
 
-def as_batches(n: int, *batches) -> tuple[np.ndarray, ...]:
-    """Validate batches of vertex-id pairs together, vectorized, at the API boundary.
+def as_batch(n: int, edges) -> np.ndarray:
+    """Validate one batch of vertex-id pairs, vectorized, at the API boundary.
 
-    Returns one ``(k, 2)`` int64 array per batch. Raises ``ValueError`` on a
-    non-integer dtype, a shape that is not pairs, or an id outside ``[0, n)``
-    in any batch, so a bad batch is rejected before any of them is used; a
-    list index would otherwise wrap a negative id into a silently wrong
+    Returns it as a ``(k, 2)`` int64 array. Raises ``ValueError`` on a
+    non-integer dtype, a shape that is not pairs, or an id outside ``[0, n)``;
+    a list index would otherwise wrap a negative id into a silently wrong
     partition. Empty input of any dtype is the empty batch. The range check
     is one reduction over every id at once: viewed as unsigned, a negative
     id exceeds every valid one.
     """
-    arrays = []
-    for edges in batches:
-        a = np.asarray(edges)
-        if a.size == 0:
-            a = np.empty((0, 2), dtype=np.int64)
-        elif a.dtype.kind not in "iu":
-            raise ValueError(f"vertex ids must be integers, got dtype {a.dtype}")
-        elif a.shape[-1:] != (2,):
-            raise ValueError(f"expected (u, v) pairs, got shape {a.shape}")
-        arrays.append(a.reshape(-1, 2).astype(np.int64, copy=False))
-    ids = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-    if len(ids) and int(ids.view(np.uint64).max()) >= n:
-        lo, hi = ids.min(), ids.max()
+    a = np.asarray(edges)
+    if a.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got dtype {a.dtype}")
+    if a.shape[-1:] != (2,):
+        raise ValueError(f"expected (u, v) pairs, got shape {a.shape}")
+    a = a.reshape(-1, 2).astype(np.int64, copy=False)
+    if int(a.view(np.uint64).max()) >= n:
+        lo, hi = a.min(), a.max()
         raise ValueError(f"vertex id {lo if lo < 0 else hi} outside [0, {n})")
-    return tuple(arrays)
+    return a
 
 
 def id_pairs(edges: np.ndarray):
@@ -191,7 +207,7 @@ def run_components(
     """
     from repro.unionfind.variants import make_union
 
-    (edges,) = as_batches(n, edges)
+    edges = as_batch(n, edges)
     st = UFState(n, labels)
     union = make_union(spec, st)
     if skip_label is not None and labels is not None:

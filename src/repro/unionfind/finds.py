@@ -91,8 +91,6 @@ def make_find(name: str, st: UFState):
         # is path splitting — the provable-work variant.
         "two-try": find_split,
     }
-    if name not in table:
-        raise KeyError(f"unknown find option {name!r}; options: {sorted(table)}")
     return table[name]
 
 

@@ -34,6 +34,4 @@ def make_splice(name: str, st: UFState):
         return pu
 
     table = {"split-one": split_one, "halve-one": halve_one, "splice": splice}
-    if name not in table:
-        raise KeyError(f"unknown splice option {name!r}; options: {sorted(table)}")
     return table[name]

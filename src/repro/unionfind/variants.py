@@ -13,28 +13,26 @@ no CAS fails.
 """
 from __future__ import annotations
 
-from repro.unionfind.core import CAS_TRY, HOOKS, READS, UNIONS, WRITES, UFSpec, UFState
+from itertools import product
+
+import numpy as np
+
+from repro.unionfind.core import (
+    CAS_TRY, FIND_OPTIONS, HOOKS, READS, SPLICE_OPTIONS, UNIONS, VARIANTS, WRITES, UFSpec, UFState,
+)
 from repro.unionfind.finds import make_find
 from repro.unionfind.splices import make_splice
 
-FINDS = ("naive", "split", "halve", "compress")
-SPLICES = ("split-one", "halve-one", "splice")
-VARIANTS = ("uf-async", "uf-hooks", "uf-early", "uf-rem-cas", "uf-rem-lock", "uf-jtb")
-
 
 def valid_specs() -> list[UFSpec]:
-    """Every valid (variant, find, splice) combination in the framework."""
-    specs: list[UFSpec] = []
-    for v in ("uf-async", "uf-hooks", "uf-early"):
-        specs += [UFSpec(v, f) for f in FINDS]
-    for v in ("uf-rem-cas", "uf-rem-lock"):
-        for f in FINDS:
-            for s in SPLICES:
-                if s == "splice" and f == "compress":
-                    continue  # incorrect combination (Appendix B.2.3)
-                specs.append(UFSpec(v, f, s))
-    specs += [UFSpec("uf-jtb", f) for f in ("naive", "two-try")]
-    return specs
+    """Every (variant, find, splice) combination that ``UFSpec`` accepts, once each."""
+    specs: dict[UFSpec, None] = {}
+    for v, f, s in product(VARIANTS, FIND_OPTIONS, (*SPLICE_OPTIONS, None)):
+        try:
+            specs[UFSpec(v, f, s)] = None
+        except ValueError:
+            continue
+    return list(specs)
 
 
 def make_union(spec: UFSpec, st: UFState):
@@ -63,15 +61,13 @@ def make_union(spec: UFSpec, st: UFState):
         return hooked
 
     if variant in ("uf-async", "uf-hooks", "uf-jtb"):
-        if variant == "uf-jtb" and spec.find not in ("naive", "two-try"):
-            raise ValueError("UF-JTB supports FindSimple (naive) or FindTwoTrySplit (two-try)")
         find = make_find(spec.find, st)
         # UF-JTB (Jayanti–Tarjan–Boix-Adserà) links the root of lower random
-        # priority under the other; UF-Hooks CASes the root's slot of the
-        # auxiliary hooks array, then writes its parent uncontended (paper
-        # Algorithm 11).
-        prio = st.ensure_prio() if variant == "uf-jtb" else None
-        H = st.ensure_hooks() if variant == "uf-hooks" else None
+        # priority under the other (seed 0: every run links by the same
+        # priorities); UF-Hooks CASes the root's slot of the auxiliary hooks
+        # array, then writes its parent uncontended (paper Algorithm 11).
+        prio = np.random.default_rng(0).permutation(len(P)).tolist() if variant == "uf-jtb" else None
+        H = [-1] * len(P) if variant == "uf-hooks" else None
         writes_per_hook = 1 if H is None else 2
 
         def union(pairs) -> list[int]:
@@ -92,8 +88,6 @@ def make_union(spec: UFSpec, st: UFState):
 
         return union
 
-    if variant not in ("uf-early", "uf-rem-cas", "uf-rem-lock"):
-        raise KeyError(f"unknown union-find variant {variant!r}; options: {VARIANTS}")
     compress = None if spec.find == "naive" else make_find(spec.find, st)
 
     if variant == "uf-early":

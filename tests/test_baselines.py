@@ -3,15 +3,14 @@ import numpy as np
 import pytest
 
 from repro.baselines.bfscc import bfscc
-from repro.baselines.gap import gap_afforest, gap_sv
 from repro.baselines.multistep import multistep
-from repro.baselines.patwary import patwary_rm
 from repro.baselines.primitives import gather_edges, map_edges
 from repro.baselines.stinger_like import StingerLike
 from repro.baselines.workeff import workeff_cc
 from repro.graphs import generators as gen
 from repro.graphs import suite
 from repro.graphs.ground_truth import canonicalize, cc_labels, same_partition
+from repro.harness.tables import SYSTEMS
 from repro.unionfind import UFSpec, run_components
 
 GRAPHS = {
@@ -63,29 +62,29 @@ def test_multistep_reports_rounds(spark, gname):
     assert info["rounds"] == info["bfs_rounds"] + info["lp_rounds"] >= 1
 
 
-@pytest.mark.parametrize("system", [gap_afforest, patwary_rm])
+@pytest.mark.parametrize("system", ["GAP-Afforest", "PatwaryRM"], ids=["gap_afforest", "patwary_rm"])
 def test_union_find_systems_report_zero_rounds(spark, system):
     """GAP-Afforest and PatwaryRM finish with one driver union-find pass, which
     runs no rounds."""
-    assert system(spark, GRAPHS["CW"])[1]["rounds"] == 0
+    assert SYSTEMS[system](spark, GRAPHS["CW"])[1]["rounds"] == 0
 
 
 def test_gap_sv(spark):
     g = GRAPHS["CW"]
-    labels, info = gap_sv(spark, g)
+    labels, info = SYSTEMS["GAP-SV"](spark, g)
     assert same_partition(labels, _truth(g))
 
 
 def test_gap_afforest(spark):
     g = GRAPHS["CW"]
-    labels, info = gap_afforest(spark, g)
+    labels, info = SYSTEMS["GAP-Afforest"](spark, g)
     assert same_partition(labels, _truth(g))
     assert 0 < info["frequent_coverage"] <= 1
 
 
 def test_patwary(spark):
     for g in GRAPHS.values():
-        labels, _ = patwary_rm(spark, g)
+        labels, _ = SYSTEMS["PatwaryRM"](spark, g)
         assert same_partition(labels, _truth(g))
 
 
@@ -93,7 +92,7 @@ def test_patwary_is_rem_lock_splice(spark):
     """PatwaryRM's finish does the work of one UF-Rem-Lock{SpliceAtomic} pass
     over every edge, counter for counter."""
     g = GRAPHS["CW"]
-    _, info = patwary_rm(spark, g)
+    _, info = SYSTEMS["PatwaryRM"](spark, g)
     _, st = run_components(g.n, np.stack([g.src, g.dst], axis=1), UFSpec("uf-rem-lock", "naive", "splice"))
     assert info["counters"] == st.c.as_dict()
     assert info["sampling"] == "none" and info["finish"] == "uf-rem-lock"

@@ -3,6 +3,9 @@ must compute correct components on every graph, under adversarial operation
 orders, with seeded labels, with skip filters, and while emitting valid
 spanning-forest hooks."""
 import gc
+import json
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import pytest
 from repro.core.streaming import StreamingConnectIt
 from repro.graphs import generators as gen
 from repro.graphs.ground_truth import canonicalize, cc_labels, num_components, same_partition
-from repro.unionfind import UFSpec, make_union, run_components
+from repro.unionfind import FIND_OPTIONS, SPLICE_OPTIONS, VARIANTS, UFSpec, make_union, run_components
 from repro.unionfind.core import UFState
 from repro.unionfind.variants import valid_specs
 
@@ -124,6 +127,67 @@ def test_unknown_names_rejected():
 
     with pytest.raises(KeyError):
         make_splice("bogus", st)
+
+
+# The 36 keys of the option space, read from the goldens snapshot rather
+# than from ``valid_specs()``, which derives them from ``UFSpec`` itself.
+GOLDEN_KEYS = {
+    k.split("/", 1)[1]
+    for k in json.loads((Path(__file__).parent / "data" / "uf_goldens.json").read_text())["static"]
+    if k.startswith("RO/") and not k.endswith("/seeded")
+}
+NAMES = ((*VARIANTS, None, "uf-bogus"), (*FIND_OPTIONS, None, "bogus"), (*SPLICE_OPTIONS, None, "bogus"))
+
+
+def test_option_space_is_checked_at_construction():
+    """Every (variant, find, splice) over the known names, None and one bogus
+    name per field: an unknown name raises KeyError, and every other triple
+    either raises ValueError or is one of the 36 valid combinations."""
+    reached = set()
+    for v, f, s in product(*NAMES):
+        if v not in VARIANTS or "bogus" in (f, s):
+            with pytest.raises(KeyError):
+                UFSpec(v, f, s)
+            continue
+        try:
+            spec = UFSpec(v, f, s)
+        except ValueError:
+            continue
+        assert spec.key in GOLDEN_KEYS, (v, f, s)
+        reached.add(spec.key)
+    assert len(GOLDEN_KEYS) == 36
+    assert reached == GOLDEN_KEYS == {spec.key for spec in SPECS}
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (("uf-async", "naive", "bogus"), KeyError),
+        (("uf-rem-cas", "two-try", "split-one"), ValueError),
+        (("uf-early", "two-try"), ValueError),
+        (("uf-hooks", "compress", "splice"), ValueError),
+        (("uf-early", "naive", "splice"), ValueError),
+    ],
+    ids=lambda a: "-".join(a) if isinstance(a, tuple) else a.__name__,
+)
+def test_spec_outside_the_option_space_raises(args, error):
+    with pytest.raises(error):
+        UFSpec(*args)
+
+
+def test_left_out_options_take_the_recommended_defaults():
+    """§4.1: FindNaive everywhere but UF-JTB (FindTwoTrySplit), and
+    SplitAtomicOne for Rem's algorithms."""
+    assert {v: UFSpec(v).key for v in VARIANTS} == {
+        "uf-async": "uf-async/naive",
+        "uf-hooks": "uf-hooks/naive",
+        "uf-early": "uf-early/naive",
+        "uf-rem-cas": "uf-rem-cas/naive/split-one",
+        "uf-rem-lock": "uf-rem-lock/naive/split-one",
+        "uf-jtb": "uf-jtb/two-try",
+    }
+    assert UFSpec() == UFSpec("uf-rem-cas")
+    assert UFSpec("uf-rem-lock", "halve") == UFSpec("uf-rem-lock", "halve", "split-one")
 
 
 def test_jtb_find_restriction():
