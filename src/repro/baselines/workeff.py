@@ -34,9 +34,10 @@ def workeff_cc(spark: SparkSession, g: Graph) -> tuple[np.ndarray, dict]:
         nc = int(composed.max()) + 1
         clab, _, rounds = ldd_labels(spark, edge_frame(spark, src, dst), nc, seed=levels)
         total_rounds += rounds
-        # contract: relabel cluster centers densely, drop intra-cluster edges
+        # contract: relabel clusters densely, drop intra-cluster edges; dense
+        # maps every vertex to its cluster, as every center is its own center
         centers, dense = np.unique(clab, return_inverse=True)
-        composed = dense[clab[composed]]
-        pairs, _ = contract_edges(src, dst, dense[clab], len(centers))
+        composed = dense[composed]
+        pairs, _ = contract_edges(src, dst, dense, len(centers))
         src, dst = pairs[:, 0], pairs[:, 1]
     return composed, {"levels": levels, "rounds": total_rounds}

@@ -22,12 +22,12 @@ composes with any finish method:
 
 Returns canonicalized labels plus an info dict with per-phase times, the
 number of edges processed in the finish phase, rounds, UF counters, and for
-a root-based finish (``ROOT_BASED``: every union-find variant and SV) the
-whole spanning forest: the sample's forest, which spans every sampled
-component, followed by the finish's root hooks, which join them
-(Theorem 7). ``spanning_forest`` is ``connectivity`` with that forest
-popped out of the info dict; the non-root-based finishes are rejected there,
-as in the paper.
+a root-based finish (``ROOT_BASED``: every union-find variant, and the six
+Liu-Tarjan codes with RootUp, SV among them) the whole spanning forest: the
+sample's forest, which spans every sampled component, followed by the
+finish's root hooks, which join them (Theorem 7). ``spanning_forest`` is
+``connectivity`` with that forest popped out of the info dict; the
+non-root-based finishes are rejected there, as in the paper.
 """
 from __future__ import annotations
 
@@ -45,8 +45,9 @@ from repro.unionfind import VARIANTS as UF_FINISHES, UFSpec
 
 MINBASED_FINISHES = ("sv", "stergiou", "labelprop") + tuple(f"lt-{c}" for c in minbased.LT_CODES)
 ALL_FINISHES = UF_FINISHES + MINBASED_FINISHES
-# finishes that hook only roots, so their hooks form a spanning forest (§3.4)
-ROOT_BASED = UF_FINISHES + ("sv",)
+# finishes that hook only roots, so their hooks form a spanning forest (§3.4):
+# union-find, and the Liu-Tarjan codes with RootUp, SV among them
+ROOT_BASED = UF_FINISHES + ("sv",) + tuple(f"lt-{c}" for c in minbased.LT_CODES if c[1] == "r")
 SAMPLINGS = ("none", "kout", "bfs", "ldd")
 
 
@@ -148,7 +149,7 @@ def finish_with_sample(
     For a root-based finish (``ROOT_BASED``), ``info["forest"]`` holds a
     spanning forest of g as a ``(k, 2)`` int64 array: the sample's forest,
     then one edge per root hook of the finish (Algorithm 2), found on g
-    itself for a contracted SV.
+    itself for a contracted min-based finish.
     """
     frequent, freq_count = identify_frequent(sample.labels)
     sampled = sample.scheme != "none"
@@ -169,12 +170,12 @@ def finish_with_sample(
         labels, st = uf_finish.run_components(
             g.n, edges, spec, labels=sample.labels, skip_label=frequent if sampled else None
         )
-        info["finish_edges"] = int((sample.labels[g.src] != frequent).sum()) if sampled else g.m_directed
         info["counters"] = st.c.as_dict()
+        info["finish_edges"] = info["counters"]["unions"]
         hooks, rounds = [st.forest], 0  # one driver pass, no dataflow rounds
     else:
         runner = _minbased_runner(finish)
-        # SV, the one root-based min-based finish, also returns its hook edges
+        # Liu-Tarjan, SV among them, also returns its hook edges
         if not sampled:
             labels, rounds, *hooks = runner(spark, g.df(spark), g.n)
             info["finish_edges"] = g.m_directed
@@ -187,7 +188,8 @@ def finish_with_sample(
             else:
                 clabels, rounds, *hooks = runner(spark, (pairs[:, 0], pairs[:, 1]), nc)
                 labels = clabels[cid]
-                if hooks:  # each contracted hook (s, d) back to one edge of g behind it
+                # each contracted hook (s, d) back to one edge of g behind it
+                if finish in ROOT_BASED:
                     s, d = hooks[0].T
                     e = eid[np.searchsorted(pairs[:, 0] * nc + pairs[:, 1], s * nc + d)]
                     hooks = [np.stack([g.src[e], g.dst[e]], axis=1)]

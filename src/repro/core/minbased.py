@@ -1,13 +1,14 @@
 """Other min-based finish methods over a driver-held parents array.
 
 Implements the full Liu-Tarjan framework (all 16 rule combinations of
-Appendix D.4), Stergiou's two-array algorithm, Shiloach-Vishkin, and
-Label-Propagation. Every candidate rule of these algorithms is a per-vertex
-minimum over neighbours, so each synchronous round is one ``_edge_map`` over
-the edge table (the dataflow analog of Ligra's edgeMap), the only call that
-touches the edges. The parents array P has n entries and lives on the driver
-as numpy, as the BFS and LDD frontiers do: writeMin, RootUp, shortcutting and
-the stop test run there, while the edges never move.
+Appendix D.4), Stergiou's two-array algorithm, Shiloach-Vishkin (which is
+Liu-Tarjan PRF, so it runs that code), and Label-Propagation. Every
+candidate rule of these algorithms is a per-vertex minimum over neighbours,
+so each synchronous round is one ``_edge_map`` over the edge table (the
+dataflow analog of Ligra's edgeMap), the only call that touches the edges.
+The parents array P has n entries and lives on the driver as numpy, as the
+BFS and LDD frontiers do: writeMin, RootUp, shortcutting and the stop test
+run there, while the edges never move.
 
 All functions take a *symmetric* edge table over vertices [0, n), in either
 of ``_edge_map``'s substrates: a Spark DataFrame (an unsampled finish over the
@@ -16,11 +17,11 @@ pair of int64 arrays (the contracted edges of a sampled finish; no Spark job
 runs). Every edge (u, v) is also present as (v, u). Symmetry lets a candidate
 pair of an edge (s, d) be computed at d from d's minimum neighbour payload.
 An endpoint outside [0, n) raises ValueError. Each returns
-``(labels ndarray, rounds)``, the same on both substrates; Shiloach-Vishkin,
-the one root-based finish here, also returns the forest of its hooks.
-Sampling composes via contraction in ``repro.core.framework`` (Theorem 5):
-the frequent component becomes contracted vertex 0, the smallest possible ID,
-so it is never relabeled.
+``(labels ndarray, rounds)``, the same on both substrates. Liu-Tarjan, and
+so Shiloach-Vishkin, also returns the edges behind its hooks, which for the
+six RootUp codes form a spanning forest. Sampling composes via contraction
+in ``repro.core.framework`` (Theorem 5): the frequent component becomes
+contracted vertex 0, the smallest possible ID, so it is never relabeled.
 """
 from __future__ import annotations
 
@@ -92,14 +93,30 @@ def _iterate(
 
 def liu_tarjan(
     spark: SparkSession, edges: Edges, n: int, spec: LTSpec | str = "crfa"
-) -> tuple[np.ndarray, int]:
-    """Run one Liu-Tarjan variant to convergence."""
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Run one Liu-Tarjan variant to convergence.
+
+    Returns ``(labels, rounds, hooks)``. ``hooks`` is a ``(k, 2)`` int64
+    array: per round, for every vertex ``x`` whose label some candidate
+    lowers, the edge ``(s, d)`` behind its winning write, the one with the
+    smallest candidate label ``m``, then the smallest ``d``. Writing only the
+    winners is the writeMin of all the candidates.
+
+    Under RootUp the hooks are a spanning forest (Algorithm 2, App. B.3).
+    Only a round-start root ``x`` is written, once per round, onto a label
+    ``m < x`` in the tree of ``s``, and ``x`` is the root of the tree of
+    ``d``. The root of the tree of ``s`` is at most ``m``, since ``P[v] ≤ v``
+    throughout, so every edge joins a round-start tree to one with a strictly
+    smaller root. A root that hooked is never a root again, so each tree
+    contributes at most one edge and the edges close no cycle.
+    """
     if isinstance(spec, str):
         spec = LTSpec.from_code(spec)
     # Alter rewrites edge (s, d) to (f[s], f[d]) with f the composition of
     # every round-start P so far; f stays the identity without Alter. The
     # self-loops and duplicates Alter drops never change a writeMin.
     f = np.arange(n, dtype=np.int64)
+    hooks = [np.empty((0, 2), dtype=np.int64)]
 
     def step(P: np.ndarray) -> np.ndarray:
         nonlocal f
@@ -108,23 +125,30 @@ def liu_tarjan(
         if spec.connect == "connect":
             # Connect: the edge endpoints are candidates for each other
             # (requires Alter for correctness, as in Liu-Tarjan).
-            d, m, _ = _edge_map(spark, edges, n, np.arange(n, dtype=np.int64), f)
+            d, m, s = _edge_map(spark, edges, n, np.arange(n, dtype=np.int64), f)
             x = f[d]
         else:
             # ParentConnect: P[dst] is a candidate for P[src] — the update
             # lands at the *parent*, which under RootUp is the round-start
             # root once trees are flat (Liu-Tarjan's P-* algorithms).
-            d, m, _ = _edge_map(spark, edges, n, np.arange(n, dtype=np.int64), P[f])
+            d, m, s = _edge_map(spark, edges, n, np.arange(n, dtype=np.int64), P[f])
             x = P[f[d]]
             if spec.connect == "extended":  # P[dst] is also a candidate for src itself
-                x, m = np.concatenate([x, f[d]]), np.concatenate([m, m])
+                x = np.concatenate([x, f[d]])
+                m, s, d = (np.concatenate([a, a]) for a in (m, s, d))
+        lower = m < P[x]
         if spec.root_up:
-            keep = P[x] == x
-            x, m = x[keep], m[keep]
-        P = _write_min(P, x, m)
+            lower &= P[x] == x
+        hook = np.flatnonzero(lower)
+        # per x, the candidate with the smallest m (ties: smallest d) wins
+        order = hook[np.lexsort((d[hook], m[hook], x[hook]))]
+        win = order[np.unique(x[order], return_index=True)[1]]
+        hooks.append(np.stack([s[win], d[win]], axis=1))
+        P = _write_min(P, x[win], m[win])
         return full_shortcut(P) if spec.shortcut == "full" else P[P]
 
-    return _iterate(n, step, f"Liu-Tarjan {spec}")
+    labels, rounds = _iterate(n, step, f"Liu-Tarjan {spec}")
+    return labels, rounds, np.concatenate(hooks)
 
 
 def stergiou(spark: SparkSession, edges: Edges, n: int) -> tuple[np.ndarray, int]:
@@ -158,32 +182,11 @@ def stergiou(spark: SparkSession, edges: Edges, n: int) -> tuple[np.ndarray, int
 def shiloach_vishkin(
     spark: SparkSession, edges: Edges, n: int
 ) -> tuple[np.ndarray, int, np.ndarray]:
-    """Shiloach-Vishkin with writeMin hooks on round-start roots and full
-    pointer jumping per round (paper Algorithm 15).
-
-    Returns ``(labels, rounds, forest)``. ``forest`` is a ``(k, 2)`` int64
-    array holding, for every hooked root, the edge ``(s, d)`` behind its
-    winning hook: the smallest neighbour label ``m``, then the smallest
-    ``d``. It is acyclic because every round starts from flat trees, only a
-    round-start root ``x`` hooks, onto a round-start root ``m < x``, and a
-    root that hooked is never a root again. So each root contributes at most
-    one edge, pointing to a strictly smaller root (Algorithm 2, App. B.3).
-    """
-    hooks = [np.empty((0, 2), dtype=np.int64)]
-
-    def step(P: np.ndarray) -> np.ndarray:
-        # hook each endpoint parent x onto its smaller neighbour parent, if x is a root
-        d, m, s = _edge_map(spark, edges, n, np.arange(n, dtype=np.int64), P)
-        x = P[d]
-        hook = np.flatnonzero((m < x) & (P[x] == x))
-        # per root x, the hook with the smallest m (ties: smallest d) wins
-        order = hook[np.lexsort((d[hook], m[hook], x[hook]))]
-        win = order[np.unique(x[order], return_index=True)[1]]
-        hooks.append(np.stack([s[win], d[win]], axis=1))
-        return full_shortcut(_write_min(P, x[win], m[win]))
-
-    labels, rounds = _iterate(n, step, "SV")
-    return labels, rounds, np.concatenate(hooks)
+    """Shiloach-Vishkin (paper Algorithm 15): writeMin hooks on round-start
+    roots, then full pointer jumping. That is Liu-Tarjan PRF (ParentConnect,
+    RootUp, FullShortcut, no Alter; App. D.4), so this runs it. Returns
+    ``(labels, rounds, forest)``, with the forest of its root hooks."""
+    return liu_tarjan(spark, edges, n, "prf")
 
 
 def label_propagation(spark: SparkSession, edges: Edges, n: int) -> tuple[np.ndarray, int]:

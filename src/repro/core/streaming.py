@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.unionfind import UFSpec, UFState, full_shortcut, make_union
+from repro.unionfind import UFSpec, UFState, make_union
 from repro.unionfind.core import READS, UNIONS, WRITES, as_batch, check_vertex_count, id_pairs
 from repro.unionfind.finds import make_connected
 
@@ -121,7 +121,7 @@ class StreamingConnectIt:
             if not hooked:
                 break
             writes += hooked
-            p[:] = full_shortcut(np.array(p, dtype=np.int64)).tolist()
+            self.state.compress_all()
         c = self.state.c.a
         c[READS] += 2 * len(us) * rounds
         c[WRITES] += writes

@@ -185,6 +185,7 @@ def test_edge_map_arrays_empty_frontier(spark, spark_jobs):
 def test_ldd_covers_and_is_partial_labeling(spark, grid, grid_edges):
     center, _, _ = ldd_labels(spark, grid_edges, grid.n, beta=0.4, seed=2)
     assert (center >= 0).all()
+    assert (center[center] == center).all()  # every center is its own center: height 1 (Def. 3.1)
     truth = canonicalize(cc_labels(grid.n, grid.src, grid.dst))
     assert (truth[center] == truth).all()  # clusters within components
 

@@ -10,7 +10,10 @@ Spark DataFrames.
 
 Each min-based digest covers the finish's int64 label array plus its round
 count; they were captured from the earlier Catalyst implementation (a parents
-DataFrame joined and min-aggregated every round).
+DataFrame joined and min-aggregated every round). Each SV forest digest covers
+the ``(k, 2)`` int64 array of SV's hook edges plus its round count; they were
+captured when SV ran a hook-recording round of its own, before it became
+Liu-Tarjan PRF.
 """
 import hashlib
 
@@ -109,6 +112,12 @@ MINBASED_GOLDENS = {  # (graph, finish)
     ("path64", "lt-euf"): "dd52ad2de6bc8ce48d11c800383463a3d1103abdb3f2499cf2aa79714105327b",
 }
 
+SV_FOREST_GOLDENS = {
+    "small": "db5ed0c9d47797be38fc2100da0c2bdc9d1d0dd1ab6a9a670da64c13680521f1",
+    "rmat80": "ab3d5768208f317177cf66c9d21c715a0afc3c8e072997aaf06e99274cb617df",
+    "path64": "24d33a1ab1a386f5f5dd964f23f868ce3e7434bc3be840bc0992223bd2585a8b",
+}
+
 
 @pytest.fixture(scope="module")
 def graphs():
@@ -152,3 +161,10 @@ def test_minbased_labels_golden(spark, graphs, key):
     h = hashlib.sha256(np.asarray(labels, dtype=np.int64).tobytes())
     h.update(str(rounds).encode())
     assert h.hexdigest() == MINBASED_GOLDENS[key]
+
+
+@pytest.mark.parametrize("name", list(SV_FOREST_GOLDENS))
+def test_sv_forest_golden(spark, graphs, name):
+    g = graphs[name]
+    _, rounds, forest = _minbased_runner("sv")(spark, g.df(spark), g.n)
+    assert _digest(forest, rounds) == SV_FOREST_GOLDENS[name]

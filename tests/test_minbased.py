@@ -50,7 +50,7 @@ def rmat_edges(spark):
 @pytest.mark.parametrize("code", LT_CODES)
 def test_liu_tarjan_all_variants(spark, small_edges, code):
     truth = cc_labels(SMALL.n, SMALL.src, SMALL.dst)
-    labels, rounds = liu_tarjan(spark, small_edges, SMALL.n, code)
+    labels, rounds, _ = liu_tarjan(spark, small_edges, SMALL.n, code)
     assert same_partition(labels, truth), code
     assert rounds == LT_SMALL_ROUNDS[code], code
 
@@ -58,7 +58,7 @@ def test_liu_tarjan_all_variants(spark, small_edges, code):
 @pytest.mark.parametrize("code", ["crfa", "prf", "pus", "euf"])
 def test_liu_tarjan_on_rmat(spark, rmat_edges, code):
     truth = cc_labels(RMAT.n, RMAT.src, RMAT.dst)
-    labels, rounds = liu_tarjan(spark, rmat_edges, RMAT.n, code)
+    labels, rounds, _ = liu_tarjan(spark, rmat_edges, RMAT.n, code)
     assert same_partition(labels, truth)
     assert rounds == LT_RMAT_ROUNDS[code], code
 
@@ -126,7 +126,7 @@ def test_label_propagation_rounds_track_diameter(spark):
 
 
 def test_minbased_labels_via_oracle(spark, small_edges):
-    labels, _ = liu_tarjan(spark, small_edges, SMALL.n, "prf")
+    labels, _, _ = liu_tarjan(spark, small_edges, SMALL.n, "prf")
     got = spark.createDataFrame(pd.DataFrame({"v": np.arange(SMALL.n), "label": labels}))
     truth = pd.DataFrame({"v": np.arange(SMALL.n), "label": cc_labels(SMALL.n, SMALL.src, SMALL.dst)})
     assert_equivalent(got, "SELECT v, label FROM truth", truth=truth)
@@ -163,12 +163,13 @@ def test_minbased_rejects_bad_edge_id(spark, bad):
 @pytest.mark.parametrize("finish", MINBASED_FINISHES)
 def test_minbased_substrates_agree(spark, small_edges, rmat_edges, finish):
     """The DataFrame and the driver (src, dst) arrays of the same symmetric
-    edges give identical labels and rounds, and SV the identical forest."""
+    edges give identical labels and rounds, and SV and every Liu-Tarjan code
+    the identical hooks; Stergiou and Label-Propagation return no hooks."""
     run = _minbased_runner(finish)
     edgeless = edge_frame(spark, EDGELESS.src, EDGELESS.dst)
     for g, df in ((SMALL, small_edges), (RMAT, rmat_edges), (EDGELESS, edgeless)):
         want, want_rounds, *want_forest = run(spark, df, g.n)
         got, rounds, *forest = run(spark, (g.src, g.dst), g.n)
         assert np.array_equal(got, want) and rounds == want_rounds, g.name
-        assert len(forest) == len(want_forest) == (finish == "sv"), g.name
+        assert len(forest) == len(want_forest) == (finish not in ("stergiou", "labelprop")), g.name
         assert all(np.array_equal(f, w) for f, w in zip(forest, want_forest)), g.name

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.framework import connectivity, spanning_forest
+from repro.core.framework import ALL_FINISHES, ROOT_BASED, connectivity, spanning_forest
 from repro.graphs import generators as gen
 from repro.graphs import suite
 from repro.graphs.ground_truth import canonicalize, cc_labels, num_components, same_partition
@@ -34,7 +34,7 @@ def _assert_valid_forest(g, truth, forest):
     [pytest.param(s, via, id=s if via == "spanning_forest" else f"{s}-{via}")
      for via in ("spanning_forest", "connectivity") for s in ("none", "kout", "bfs", "ldd")],
 )
-@pytest.mark.parametrize("finish", ["uf-rem-cas", "uf-async", "uf-hooks", "uf-early", "uf-rem-lock", "uf-jtb", "sv"])
+@pytest.mark.parametrize("finish", ROOT_BASED)
 def test_forest_matrix(spark, sampling, via, finish):
     if via == "spanning_forest":
         labels, forest, info = spanning_forest(spark, G, sampling, finish)
@@ -57,6 +57,12 @@ def test_non_root_based_rejected(spark):
         spanning_forest(spark, G, "none", "labelprop")
     with pytest.raises(ValueError, match="root-based"):
         spanning_forest(spark, G, "kout", "stergiou")
+    # the Liu-Tarjan codes without RootUp write to non-roots and have no forest
+    rejected = [f for f in ALL_FINISHES if f not in ROOT_BASED]
+    assert len(rejected) == 12 and {"lt-pus", "lt-cufa"} <= set(rejected)
+    for finish in rejected:
+        with pytest.raises(ValueError, match="root-based"):
+            spanning_forest(spark, G, "none", finish)
 
 
 def test_forest_on_tree_is_whole_graph(spark):
@@ -88,7 +94,7 @@ def test_sv_forest_multi_component(spark, sampling):
 edge_lists = st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=30)
 
 
-@pytest.mark.parametrize("finish", ["sv", "uf-rem-cas"])
+@pytest.mark.parametrize("finish", ROOT_BASED)
 @pytest.mark.parametrize("sampling", ["none", "kout", "bfs", "ldd"])
 @given(pairs=edge_lists)
 @settings(max_examples=5, deadline=None)
